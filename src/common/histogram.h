@@ -5,7 +5,6 @@
 #define DPDPU_COMMON_HISTOGRAM_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -48,24 +47,6 @@ class Histogram {
   uint64_t max_ = 0;
   double sum_ = 0;
   std::vector<uint64_t> buckets_;
-};
-
-/// Named counters/gauges keyed by string; cheap enough for simulation-rate
-/// accounting, readable enough for bench output.
-class MetricSet {
- public:
-  void Add(const std::string& name, double delta) { values_[name] += delta; }
-  void Set(const std::string& name, double value) { values_[name] = value; }
-  double Get(const std::string& name) const {
-    auto it = values_.find(name);
-    return it == values_.end() ? 0.0 : it->second;
-  }
-  bool Has(const std::string& name) const { return values_.count(name) > 0; }
-  const std::map<std::string, double>& values() const { return values_; }
-  void Reset() { values_.clear(); }
-
- private:
-  std::map<std::string, double> values_;
 };
 
 }  // namespace dpdpu

@@ -47,99 +47,10 @@ Result<WorkItemPtr> ComputeEngine::Invoke(const std::string& kernel,
         "compute: " + kernel + " cannot run on " +
         std::string(ExecTargetName(target)) + " on this DPU");
   }
-
-  auto item = std::make_shared<WorkItem>();
-  item->set_submitted_at(server_->simulator()->now());
-  TargetStats& stats = stats_[target];
-  ++stats.jobs;
-  stats.bytes += input.size();
-
-  if (target == ExecTarget::kDpuAsic) {
-    RunOnAsic(*k, std::move(input), std::move(params), item,
-              options.tenant);
-  } else {
-    Dispatch(*k, target, std::move(input), std::move(params), item);
-  }
-  return item;
-}
-
-void ComputeEngine::Dispatch(const DpKernel& kernel, ExecTarget target,
-                             Buffer input, KernelParams params,
-                             WorkItemPtr item) {
-  sim::SimTime service = placement_.ServiceTime(kernel, input.size(),
-                                                target);
-  placement_.OnDispatch(target, service);
-
-  switch (target) {
-    case ExecTarget::kDpuCpu: {
-      sim::SimTime t = server_->dpu_cpu().WorkTime(
-          input.size(), kernel.cpu_cycles_per_byte, kernel.fixed_cycles);
-      server_->dpu_cpu().ExecuteFor(
-          t, [this, k = &kernel, target, service, input = std::move(input),
-              params = std::move(params), item]() mutable {
-            placement_.OnComplete(target, service);
-            Finish(*k, target, std::move(input), std::move(params), item);
-          });
-      break;
-    }
-    case ExecTarget::kHostCpu: {
-      // DMA the input to host memory, compute there, DMA the result back.
-      size_t bytes = input.size();
-      server_->pcie().Dma(bytes, [this, k = &kernel, target, service, bytes,
-                                  input = std::move(input),
-                                  params = std::move(params),
-                                  item]() mutable {
-        sim::SimTime t = server_->host_cpu().WorkTime(
-            bytes, k->cpu_cycles_per_byte, k->fixed_cycles);
-        server_->host_cpu().ExecuteFor(
-            t, [this, k, target, service, input = std::move(input),
-                params = std::move(params), item]() mutable {
-              // Run the real kernel now so the return DMA carries the
-              // actual output size.
-              Result<Buffer> result = k->fn(input.span(), params);
-              size_t out_bytes = result.ok() ? result->size() : 0;
-              server_->pcie().Dma(
-                  out_bytes, [this, target, service, item,
-                              result = std::move(result)]() mutable {
-                    placement_.OnComplete(target, service);
-                    item->Complete(std::move(result), target,
-                                   server_->simulator()->now());
-                  });
-            });
-      });
-      break;
-    }
-    case ExecTarget::kPcieAccel: {
-      hw::PcieAccelerator* accel = server_->pcie_accelerator();
-      DPDPU_CHECK(accel != nullptr);
-      size_t bytes = input.size();
-      double cpb = kernel.cpu_cycles_per_byte;
-      // DMA in, device kernel, run the real fn, DMA the result out.
-      server_->pcie().Dma(bytes, [this, k = &kernel, target, service,
-                                  accel, bytes, cpb,
-                                  input = std::move(input),
-                                  params = std::move(params),
-                                  item]() mutable {
-        accel->SubmitJob(
-            bytes, cpb,
-            [this, k, target, service, input = std::move(input),
-             params = std::move(params), item]() mutable {
-              Result<Buffer> result = k->fn(input.span(), params);
-              size_t out_bytes = result.ok() ? result->size() : 0;
-              server_->pcie().Dma(
-                  out_bytes, [this, target, service, item,
-                              result = std::move(result)]() mutable {
-                    placement_.OnComplete(target, service);
-                    item->Complete(std::move(result), target,
-                                   server_->simulator()->now());
-                  });
-            });
-      });
-      break;
-    }
-    default:
-      DPDPU_CHECK(false && "Dispatch only handles CPU targets");
-  }
+  std::vector<Step> chain;
+  chain.push_back({k, std::move(params)});
+  return Launch(*k, target, std::move(chain), std::move(input),
+                options.tenant);
 }
 
 Result<WorkItemPtr> ComputeEngine::InvokeFused(
@@ -148,186 +59,86 @@ Result<WorkItemPtr> ComputeEngine::InvokeFused(
   if (steps.empty()) {
     return Status::InvalidArgument("compute: empty fused chain");
   }
-  // Resolve the chain and its combined cost model.
-  std::vector<const DpKernel*> kernels;
-  double total_cpb = 0;
-  uint64_t total_fixed = 0;
+  // Resolve the chain. A synthetic kernel carrying the chain's combined
+  // cost drives placement and timing.
+  std::vector<Step> chain;
+  DpKernel fused;
+  fused.name = "fused";
+  fused.cpu_cycles_per_byte = 0;
   for (const FusedStep& step : steps) {
     const DpKernel* k = registry_.Find(step.kernel);
     if (k == nullptr) {
       return Status::NotFound("compute: kernel " + step.kernel);
     }
-    kernels.push_back(k);
-    total_cpb += k->cpu_cycles_per_byte;
-    total_fixed += k->fixed_cycles;
+    chain.push_back({k, step.params});
+    fused.cpu_cycles_per_byte += k->cpu_cycles_per_byte;
+    fused.fixed_cycles += k->fixed_cycles;
   }
 
   ExecTarget target = options.target;
-  auto fusable = [](ExecTarget t) {
-    return t == ExecTarget::kPcieAccel || t == ExecTarget::kHostCpu ||
-           t == ExecTarget::kDpuCpu;
-  };
-  // A synthetic kernel carrying the combined cost drives placement.
-  DpKernel fused;
-  fused.name = "fused";
-  fused.cpu_cycles_per_byte = total_cpb;
-  fused.fixed_cycles = total_fixed;
   if (target == ExecTarget::kAuto) {
-    ExecTarget best = ExecTarget::kDpuCpu;
-    sim::SimTime best_eta =
-        placement_.EstimateCompletion(fused, input.size(),
-                                      ExecTarget::kDpuCpu);
-    for (ExecTarget t : {ExecTarget::kHostCpu, ExecTarget::kPcieAccel}) {
-      if (!placement_.Available(fused, t)) continue;
-      sim::SimTime eta = placement_.EstimateCompletion(fused, input.size(),
-                                                       t);
-      if (eta < best_eta) {
-        best_eta = eta;
-        best = t;
-      }
-    }
-    target = best;
-  } else if (!fusable(target)) {
+    // Fused chains are always placed by the model, whatever the policy.
+    target = placement_.Choose(fused, input.size(),
+                               PlacementPolicy::kModelBased);
+  } else if (target == ExecTarget::kDpuAsic) {
     return Status::NotSupported(
         "compute: fused chains cannot run on fixed-function ASICs");
   } else if (!placement_.Available(fused, target)) {
     return Status::Unavailable("compute: fused target unavailable");
   }
+  return Launch(fused, target, std::move(chain), std::move(input),
+                options.tenant);
+}
 
+WorkItemPtr ComputeEngine::Launch(const DpKernel& cost, ExecTarget target,
+                                  std::vector<Step> steps, Buffer input,
+                                  uint32_t tenant) {
   auto item = std::make_shared<WorkItem>();
   item->set_submitted_at(server_->simulator()->now());
   TargetStats& stats = stats_[target];
   ++stats.jobs;
   stats.bytes += input.size();
-
-  // The chain's real execution: apply every kernel fn in order.
-  auto run_chain = [kernels,
-                    step_params = steps](ByteSpan in) -> Result<Buffer> {
-    Buffer current(in.data(), in.size());
-    for (size_t i = 0; i < kernels.size(); ++i) {
-      DPDPU_ASSIGN_OR_RETURN(current, kernels[i]->fn(
-                                          current.span(),
-                                          step_params[i].params));
-    }
-    return current;
-  };
-
-  sim::SimTime service = placement_.ServiceTime(fused, input.size(),
-                                                target);
+  sim::SimTime service = placement_.ServiceTime(cost, input.size(), target);
   placement_.OnDispatch(target, service);
-  size_t bytes = input.size();
 
-  switch (target) {
-    case ExecTarget::kDpuCpu: {
-      sim::SimTime t = server_->dpu_cpu().WorkTime(bytes, total_cpb,
-                                                   total_fixed);
-      server_->dpu_cpu().ExecuteFor(
-          t, [this, target, service, run_chain,
-              input = std::move(input), item]() mutable {
-            placement_.OnComplete(target, service);
-            item->Complete(run_chain(input.span()), target,
-                           server_->simulator()->now());
-          });
-      break;
-    }
-    case ExecTarget::kHostCpu: {
-      server_->pcie().Dma(bytes, [this, target, service, run_chain, bytes,
-                                  total_cpb, total_fixed,
-                                  input = std::move(input),
-                                  item]() mutable {
-        sim::SimTime t = server_->host_cpu().WorkTime(bytes, total_cpb,
-                                                      total_fixed);
-        server_->host_cpu().ExecuteFor(
-            t, [this, target, service, run_chain,
-                input = std::move(input), item]() mutable {
-              Result<Buffer> result = run_chain(input.span());
-              size_t out_bytes = result.ok() ? result->size() : 0;
-              server_->pcie().Dma(
-                  out_bytes, [this, target, service, item,
-                              result = std::move(result)]() mutable {
-                    placement_.OnComplete(target, service);
-                    item->Complete(std::move(result), target,
-                                   server_->simulator()->now());
-                  });
-            });
-      });
-      break;
-    }
-    case ExecTarget::kPcieAccel: {
-      hw::PcieAccelerator* accel = server_->pcie_accelerator();
-      server_->pcie().Dma(bytes, [this, target, service, run_chain, accel,
-                                  bytes, total_cpb,
-                                  input = std::move(input),
-                                  item]() mutable {
-        accel->SubmitJob(
-            bytes, total_cpb,
-            [this, target, service, run_chain, input = std::move(input),
-             item]() mutable {
-              Result<Buffer> result = run_chain(input.span());
-              size_t out_bytes = result.ok() ? result->size() : 0;
-              server_->pcie().Dma(
-                  out_bytes, [this, target, service, item,
-                              result = std::move(result)]() mutable {
-                    placement_.OnComplete(target, service);
-                    item->Complete(std::move(result), target,
-                                   server_->simulator()->now());
-                  });
-            });
-      });
-      break;
-    }
-    default:
-      DPDPU_CHECK(false);
+  auto job = std::make_unique<Job>(
+      Job{std::move(steps), cost.cpu_cycles_per_byte, cost.fixed_cycles,
+          std::move(input), item, target, service});
+  if (target == ExecTarget::kDpuAsic) {
+    RunOnAsic(std::move(job), tenant);
+  } else {
+    RunOnCpu(std::move(job));
   }
   return item;
 }
 
-void ComputeEngine::RunOnAsic(const DpKernel& kernel, Buffer input,
-                              KernelParams params, WorkItemPtr item,
-                              uint32_t tenant) {
-  DPDPU_CHECK(kernel.asic_kind.has_value());
-  hw::Accelerator* asic = server_->accelerator(*kernel.asic_kind);
-  DPDPU_CHECK(asic != nullptr);
-  AsicState& state = asic_state_[*kernel.asic_kind];
-
-  // NOTE: size captured before the lambda's move-capture consumes input
-  // (argument evaluation order is unspecified).
-  size_t bytes = input.size();
-  sim::SimTime service = asic->JobTime(bytes);
-  placement_.OnDispatch(ExecTarget::kDpuAsic, service);
-
-  if (state.in_flight < asic->spec().max_concurrency) {
-    StartAsicJob(kernel, asic, std::move(input), std::move(params), item);
+void ComputeEngine::RunOnAsic(JobPtr job, uint32_t tenant) {
+  hw::AcceleratorKind kind = *job->steps.front().kernel->asic_kind;
+  AsicState& state = asic_state_[kind];
+  if (state.in_flight < server_->accelerator(kind)->spec().max_concurrency) {
+    StartAsicJob(kind, std::move(job));
   } else {
-    state.queue->Push(
-        tenant, bytes,
-        [this, k = &kernel, asic, input = std::move(input),
-         params = std::move(params), item]() mutable {
-          StartAsicJob(*k, asic, std::move(input), std::move(params), item);
-        });
+    // Size read before the move-capture below consumes the job
+    // (argument evaluation order is unspecified).
+    uint64_t bytes = job->input.size();
+    state.queue->Push(tenant, bytes,
+                      [this, kind, job = std::move(job)]() mutable {
+                        StartAsicJob(kind, std::move(job));
+                      });
   }
 }
 
-void ComputeEngine::StartAsicJob(const DpKernel& kernel,
-                                 hw::Accelerator* asic, Buffer input,
-                                 KernelParams params, WorkItemPtr item) {
-  AsicState& state = asic_state_[asic->kind()];
+void ComputeEngine::StartAsicJob(hw::AcceleratorKind kind, JobPtr job) {
+  AsicState& state = asic_state_[kind];
   ++state.in_flight;
-  // Size must be read before the move-capture below consumes input.
-  size_t bytes = input.size();
-  sim::SimTime service = asic->JobTime(bytes);
-  hw::AcceleratorKind kind = asic->kind();
-  asic->SubmitJob(bytes,
-                  [this, k = &kernel, kind, service,
-                   input = std::move(input), params = std::move(params),
-                   item]() mutable {
-                    AsicState& st = asic_state_[kind];
-                    --st.in_flight;
-                    placement_.OnComplete(ExecTarget::kDpuAsic, service);
-                    Finish(*k, ExecTarget::kDpuAsic, std::move(input),
-                           std::move(params), item);
-                    PumpAsicQueue(kind);
-                  });
+  uint64_t bytes = job->input.size();
+  server_->accelerator(kind)->SubmitJob(
+      bytes, [this, kind, job = std::move(job)]() mutable {
+        AsicState& st = asic_state_[kind];
+        --st.in_flight;
+        Finish(*job, RunKernelChain(*job));
+        PumpAsicQueue(kind);
+      });
 }
 
 void ComputeEngine::PumpAsicQueue(hw::AcceleratorKind kind) {
@@ -341,11 +152,58 @@ void ComputeEngine::PumpAsicQueue(hw::AcceleratorKind kind) {
   }
 }
 
-void ComputeEngine::Finish(const DpKernel& kernel, ExecTarget target,
-                           Buffer input, KernelParams params,
-                           WorkItemPtr item) {
-  Result<Buffer> result = kernel.fn(input.span(), params);
-  item->Complete(std::move(result), target, server_->simulator()->now());
+void ComputeEngine::RunOnCpu(JobPtr job) {
+  // Read before the move-captures below consume the job.
+  uint64_t bytes = job->input.size();
+  if (job->target == ExecTarget::kDpuCpu) {
+    // DPU cores run the job in place.
+    sim::SimTime t = server_->dpu_cpu().WorkTime(
+        bytes, job->cpu_cycles_per_byte, job->fixed_cycles);
+    server_->dpu_cpu().ExecuteFor(t, [this, job = std::move(job)]() mutable {
+      Finish(*job, RunKernelChain(*job));
+    });
+    return;
+  }
+  // The host CPU and the PCIe accelerator DMA the input in, run the job,
+  // and DMA the real output size back.
+  server_->pcie().Dma(bytes, [this, bytes, job = std::move(job)]() mutable {
+    ExecTarget target = job->target;
+    double cpb = job->cpu_cycles_per_byte;
+    uint64_t fixed = job->fixed_cycles;
+    UniqueFunction run = [this, job = std::move(job)]() mutable {
+      Result<Buffer> result = RunKernelChain(*job);
+      uint64_t out_bytes = result.ok() ? result->size() : 0;
+      server_->pcie().Dma(out_bytes, [this, job = std::move(job),
+                                      result = std::move(result)]() mutable {
+        Finish(*job, std::move(result));
+      });
+    };
+    if (target == ExecTarget::kHostCpu) {
+      hw::CpuCluster& host = server_->host_cpu();
+      host.ExecuteFor(host.WorkTime(bytes, cpb, fixed), std::move(run));
+    } else {
+      server_->pcie_accelerator()->SubmitJob(bytes, cpb, std::move(run));
+    }
+  });
+}
+
+Result<Buffer> ComputeEngine::RunKernelChain(const Job& job) {
+  // The one place kernel fns run: each step consumes the previous
+  // step's output.
+  Result<Buffer> out = Status::Internal("compute: empty kernel chain");
+  ByteSpan in = job.input.span();
+  for (const Step& step : job.steps) {
+    out = step.kernel->fn(in, step.params);
+    if (!out.ok()) break;
+    in = out->span();
+  }
+  return out;
+}
+
+void ComputeEngine::Finish(Job& job, Result<Buffer> result) {
+  placement_.OnComplete(job.target, job.service);
+  job.item->Complete(std::move(result), job.target,
+                     server_->simulator()->now());
 }
 
 // ---------------------------------------------------------------------------

@@ -118,15 +118,36 @@ class ComputeEngine {
   void* storage_engine_opaque() const { return storage_engine_; }
 
  private:
-  void Dispatch(const DpKernel& kernel, ExecTarget target, Buffer input,
-                KernelParams params, WorkItemPtr item);
-  void RunOnAsic(const DpKernel& kernel, Buffer input, KernelParams params,
-                 WorkItemPtr item, uint32_t tenant);
-  void StartAsicJob(const DpKernel& kernel, hw::Accelerator* asic,
-                    Buffer input, KernelParams params, WorkItemPtr item);
+  /// One step of a job's kernel chain.
+  struct Step {
+    const DpKernel* kernel = nullptr;
+    KernelParams params;
+  };
+  /// A kernel job from submit to completion. Every job is a chain of
+  /// steps (a plain Invoke is a chain of one) timed by one cost model:
+  /// the kernel's own, or a fused chain's summed cost.
+  struct Job {
+    std::vector<Step> steps;
+    double cpu_cycles_per_byte = 0;
+    uint64_t fixed_cycles = 0;
+    Buffer input;
+    WorkItemPtr item;
+    ExecTarget target = ExecTarget::kAuto;
+    sim::SimTime service = 0;  // the placement backlog it charges
+  };
+  using JobPtr = std::unique_ptr<Job>;
+
+  // The job pipeline: Launch (work item, target stats, placement charge)
+  // hands the job to the ASIC path or to the CPU-target dispatch, and
+  // both end in Finish. RunKernelChain is the one place kernel fns run.
+  WorkItemPtr Launch(const DpKernel& cost, ExecTarget target,
+                     std::vector<Step> steps, Buffer input, uint32_t tenant);
+  void RunOnAsic(JobPtr job, uint32_t tenant);
+  void StartAsicJob(hw::AcceleratorKind kind, JobPtr job);
   void PumpAsicQueue(hw::AcceleratorKind kind);
-  void Finish(const DpKernel& kernel, ExecTarget target, Buffer input,
-              KernelParams params, WorkItemPtr item);
+  void RunOnCpu(JobPtr job);
+  static Result<Buffer> RunKernelChain(const Job& job);
+  void Finish(Job& job, Result<Buffer> result);
 
   hw::Server* server_;
   KernelRegistry registry_;

@@ -16,9 +16,10 @@ namespace {
 
 struct CeFixture {
   explicit CeFixture(hw::DpuSpec dpu = hw::BlueField2Spec(),
-                     ComputeEngineOptions options = {})
+                     ComputeEngineOptions options = {},
+                     KernelRegistry registry = KernelRegistry::Builtin())
       : server(&sim, hw::MakeServerSpec("s", std::move(dpu))),
-        engine(&server, KernelRegistry::Builtin(), options) {}
+        engine(&server, std::move(registry), options) {}
 
   sim::Simulator sim;
   hw::Server server;
@@ -256,13 +257,21 @@ TEST(ComputeEngineTest, StatsTrackTargets) {
 TEST(TenancyTest, DrrGivesSmallTenantFairShare) {
   // Tenant 0 floods the ASIC with large jobs; tenant 1 submits a few
   // small ones. Under FCFS the small tenant waits behind the flood;
-  // under DRR it interleaves.
-  auto run = [](AdmissionQueue::Discipline discipline) {
+  // under DRR it interleaves. ASIC time depends only on input bytes, so
+  // the compress kernel keeps its name, cost model and ASIC affinity but
+  // gets a trivial fn, and the inputs are zero-filled.
+  DpKernel compress = *KernelRegistry::Builtin().Find(kKernelCompress);
+  compress.fn = [](ByteSpan, const KernelParams&) -> Result<Buffer> {
+    return Buffer();
+  };
+  auto run = [&compress](AdmissionQueue::Discipline discipline) {
     ComputeEngineOptions options;
     options.asic_admission = discipline;
-    CeFixture f(hw::BlueField2Spec(), options);
-    Buffer big = kern::GenerateText(2 << 20, {1});
-    Buffer small = kern::GenerateText(64 << 10, {2});
+    KernelRegistry registry;
+    EXPECT_TRUE(registry.Register(compress).ok());
+    CeFixture f(hw::BlueField2Spec(), options, std::move(registry));
+    Buffer big(size_t{2} << 20);
+    Buffer small(size_t{64} << 10);
     std::vector<WorkItemPtr> small_items;
     for (int i = 0; i < 30; ++i) {
       auto item = f.engine.Invoke(kKernelCompress, big, {},
@@ -284,6 +293,8 @@ TEST(TenancyTest, DrrGivesSmallTenantFairShare) {
   };
   sim::SimTime fcfs = run(AdmissionQueue::Discipline::kFcfs);
   sim::SimTime drr = run(AdmissionQueue::Discipline::kDrr);
+  EXPECT_EQ(fcfs, 14'996'672u);
+  EXPECT_EQ(drr, 2'264'224u);
   EXPECT_LT(double(drr), double(fcfs) * 0.6)
       << "DRR should cut the small tenant's worst-case latency";
 }

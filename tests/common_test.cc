@@ -360,18 +360,6 @@ TEST(HistogramTest, LargeValuesDoNotOverflowBuckets) {
   EXPECT_GE(h.Percentile(100), (1ull << 62));
 }
 
-TEST(MetricSetTest, AddSetGet) {
-  MetricSet m;
-  m.Add("x", 1.5);
-  m.Add("x", 2.5);
-  m.Set("y", 7);
-  EXPECT_DOUBLE_EQ(m.Get("x"), 4.0);
-  EXPECT_DOUBLE_EQ(m.Get("y"), 7.0);
-  EXPECT_DOUBLE_EQ(m.Get("absent"), 0.0);
-  EXPECT_TRUE(m.Has("x"));
-  EXPECT_FALSE(m.Has("absent"));
-}
-
 // --------------------------------------------------------------------------
 // UniqueFunction
 // --------------------------------------------------------------------------

@@ -154,6 +154,39 @@ TEST(FusionTest, FusedChainMatchesSequentialResult) {
   EXPECT_EQ((*fused)->result().value(), expected);
 }
 
+TEST(FusionTest, OneStepChainMatchesSingleInvoke) {
+  // A plain Invoke is a chain of one: on every fusable target the two
+  // entry points agree on output bytes, timing, placement and accounting.
+  // Compress shrinks its input, so the return DMA size is exercised too.
+  Buffer text = kern::GenerateText(64 << 10, {});
+  for (ce::ExecTarget target :
+       {ce::ExecTarget::kDpuCpu, ce::ExecTarget::kHostCpu,
+        ce::ExecTarget::kPcieAccel}) {
+    SCOPED_TRACE(ce::ExecTargetName(target));
+    GpuFixture single;
+    auto one = single.engine.Invoke(ce::kKernelCompress, text, {}, {target});
+    GpuFixture fused;
+    auto chain = fused.engine.InvokeFused({{ce::kKernelCompress, {}}}, text,
+                                          {target});
+    ASSERT_TRUE(one.ok());
+    ASSERT_TRUE(chain.ok());
+    single.sim.Run();
+    fused.sim.Run();
+    const ce::WorkItem& a = **one;
+    const ce::WorkItem& b = **chain;
+    ASSERT_TRUE(a.result().ok());
+    ASSERT_TRUE(b.result().ok());
+    EXPECT_EQ(a.result().value(), b.result().value());
+    EXPECT_EQ(a.latency(), b.latency());
+    EXPECT_EQ(a.executed_on(), target);
+    EXPECT_EQ(b.executed_on(), target);
+    EXPECT_EQ(single.engine.target_stats(target).jobs,
+              fused.engine.target_stats(target).jobs);
+    EXPECT_EQ(single.engine.target_stats(target).bytes,
+              fused.engine.target_stats(target).bytes);
+  }
+}
+
 TEST(FusionTest, FusedRejectsAsicTarget) {
   GpuFixture f;
   auto fused = f.engine.InvokeFused({{ce::kKernelCompress, {}}},

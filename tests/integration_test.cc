@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/compute/sproc.h"
 #include "core/runtime/metrics.h"
 #include "core/runtime/pipeline.h"
@@ -20,15 +22,24 @@ namespace {
 // The Section 4 composed flow, parameterized by DPU model: a remote
 // request reads compressed data from SSD, decompresses it on the DPU
 // (ASIC where present, CPU otherwise), and returns the plain bytes.
-class HeterogeneityTest
-    : public ::testing::TestWithParam<hw::DpuSpec (*)()> {};
+//
+// The parameter prints as the model's name, so test names stay the same
+// from build to build (a bare function pointer would print its address).
+struct DpuModel {
+  const char* name;
+  hw::DpuSpec (*spec)();
+};
+
+void PrintTo(const DpuModel& model, std::ostream* os) { *os << model.name; }
+
+class HeterogeneityTest : public ::testing::TestWithParam<DpuModel> {};
 
 TEST_P(HeterogeneityTest, ReadDecompressServeWorksOnEveryDpu) {
   sim::Simulator sim;
   netsub::Network net(&sim);
   rt::PlatformOptions so, co;
   so.node = 1;
-  so.server_spec = hw::MakeServerSpec("server", GetParam()());
+  so.server_spec = hw::MakeServerSpec("server", GetParam().spec());
   co.node = 2;
   rt::Platform server(&sim, &net, so);
   rt::Platform client(&sim, &net, co);
@@ -91,10 +102,11 @@ TEST_P(HeterogeneityTest, ReadDecompressServeWorksOnEveryDpu) {
                              : ce::ExecTarget::kDpuCpu);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllDpus, HeterogeneityTest,
-                         ::testing::Values(&hw::BlueField2Spec,
-                                           &hw::BlueField3Spec,
-                                           &hw::IntelIpuLikeSpec));
+INSTANTIATE_TEST_SUITE_P(
+    AllDpus, HeterogeneityTest,
+    ::testing::Values(DpuModel{"BlueField2", &hw::BlueField2Spec},
+                      DpuModel{"BlueField3", &hw::BlueField3Spec},
+                      DpuModel{"IntelIpuLike", &hw::IntelIpuLikeSpec}));
 
 // Compress-encrypt-store, then fetch-decrypt-decompress: a two-platform
 // round trip through all three engines, all kernels on real data.

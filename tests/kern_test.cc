@@ -14,7 +14,6 @@
 #include "kern/regex.h"
 #include "kern/relational.h"
 #include "kern/textgen.h"
-#include "kern/zlib_format.h"
 
 namespace dpdpu::kern {
 namespace {
@@ -149,67 +148,6 @@ TEST(ChaCha20Test, NonBlockAlignedLengths) {
     Buffer back = ChaCha20Xor(key, nonce, 0, ct.span());
     EXPECT_EQ(back, pt) << "n=" << n;
   }
-}
-
-
-// --------------------------------------------------------------------------
-// zlib container format (RFC 1950).
-// --------------------------------------------------------------------------
-
-TEST(ZlibTest, Adler32KnownVectors) {
-  // Adler-32 of "Wikipedia" (the RFC's worked example elsewhere).
-  Buffer wiki("Wikipedia");
-  EXPECT_EQ(Adler32(wiki.span()), 0x11E60398u);
-  EXPECT_EQ(Adler32(ByteSpan()), 1u);
-}
-
-TEST(ZlibTest, Adler32IncrementalMatchesOneShot) {
-  Buffer data = GenerateText(100000, {});
-  uint32_t whole = Adler32(data.span());
-  uint32_t adler = 1;
-  adler = Adler32Update(adler, data.span().subspan(0, 33333));
-  adler = Adler32Update(adler, data.span().subspan(33333));
-  EXPECT_EQ(adler, whole);
-}
-
-TEST(ZlibTest, RoundTrip) {
-  Buffer text = GenerateText(200000, {});
-  auto z = ZlibCompress(text.span());
-  ASSERT_TRUE(z.ok());
-  // RFC 1950 header: 0x78 0x9C is the ubiquitous default marker.
-  EXPECT_EQ((*z)[0], 0x78);
-  EXPECT_EQ((*z)[1], 0x9C);
-  auto back = ZlibDecompress(z->span());
-  ASSERT_TRUE(back.ok()) << back.status();
-  EXPECT_EQ(*back, text);
-}
-
-TEST(ZlibTest, RejectsBadHeader) {
-  Buffer text("hello zlib");
-  auto z = ZlibCompress(text.span());
-  ASSERT_TRUE(z.ok());
-  Buffer bad = *z;
-  bad[0] = 0x79;  // method nibble wrong
-  EXPECT_TRUE(ZlibDecompress(bad.span()).status().IsCorruption());
-  bad = *z;
-  bad[1] ^= 1;  // FCHECK broken
-  EXPECT_TRUE(ZlibDecompress(bad.span()).status().IsCorruption());
-}
-
-TEST(ZlibTest, DetectsPayloadCorruptionViaAdler) {
-  Buffer text = GenerateText(50000, {});
-  auto z = ZlibCompress(text.span());
-  ASSERT_TRUE(z.ok());
-  // Flip a bit in the stored checksum itself: inflate succeeds but the
-  // Adler comparison must fail.
-  Buffer bad = *z;
-  bad[bad.size() - 1] ^= 1;
-  EXPECT_TRUE(ZlibDecompress(bad.span()).status().IsCorruption());
-}
-
-TEST(ZlibTest, TooShortRejected) {
-  Buffer tiny("ab");
-  EXPECT_TRUE(ZlibDecompress(tiny.span()).status().IsCorruption());
 }
 
 // --------------------------------------------------------------------------

@@ -1,7 +1,7 @@
-// simex oracle: two planted schedule bugs that the sampled perturbation
+// simex oracle: planted schedule bugs that the explorer must find within
+// the smoke budget. Bugs A and B are ones the sampled perturbation
 // policies (fifo, lifo, shuffle:7 — exactly what check_bench --perturb
-// runs) provably miss, and that the explorer must find within the smoke
-// budget. Standalone so CI can gate on it without gtest.
+// runs) provably miss. Standalone so CI can gate on it without gtest.
 //
 // Bug A (tie order): three same-timestamp handlers race on one shared
 // slot; the invariant breaks only when they run in order 1,2,0. The
@@ -16,8 +16,10 @@
 // they never take a non-default fault pick — so alternative 2 (the
 // acked-but-lost window) is invisible to them by construction.
 //
-// Exit 0 iff every sampled policy misses both bugs AND the explorer
-// finds both (a clean self-check means the seed rotted).
+// Bug C (hot object): see HotObjectScenario.
+//
+// Exit 0 iff every sampled policy misses bugs A and B AND the explorer
+// finds all three (a clean self-check means the seed rotted).
 
 #include <cstdio>
 #include <memory>
@@ -35,11 +37,9 @@ namespace {
 // --- Bug A: tie-order bug ------------------------------------------
 
 ScenarioResult TieScenario(Simulator& sim) {
-  // Each handler pair conflicts on its own object (simrace reports one
-  // race per (object, key) per run, so pairwise-distinct objects are
-  // what lets DPOR see every reversal): prepare/commit share the lock,
-  // commit/ack the log, prepare/ack the client-visible state. The order
-  // log is what the invariant judges.
+  // Each handler pair conflicts on its own object: prepare/commit share
+  // the lock, commit/ack the log, prepare/ack the client-visible state.
+  // The order log is what the invariant judges.
   auto lock = std::make_shared<Racy<int>>("oracle.lock");
   auto log = std::make_shared<Racy<int>>("oracle.log");
   auto visible = std::make_shared<Racy<int>>("oracle.visible");
@@ -104,15 +104,14 @@ ScenarioResult FaultScenario(Simulator& sim) {
   return r;
 }
 
-// --- Bug C: hot-object bug (multi-report DPOR) ----------------------
+// --- Bug C: hot-object bug -----------------------------------------
 // Three same-timestamp handlers all conflict on ONE shared object; the
-// invariant breaks only on the full reversal 2,1,0. The legacy
-// one-report-per-(object,key) mode hands DPOR a single reversal branch
-// per run — it flips the first pair back and forth and dead-ends
-// without ever composing two reversals. Default multi-report simrace
-// (every conflicting causally-unordered pair, deduped on
-// (object, event-pair)) feeds the full persistent set, so the explorer
-// composes reversals and reaches 2,1,0 inside the same budget.
+// invariant breaks only on the full reversal 2,1,0, which takes two
+// composed reversals. simrace reports every conflicting causally-
+// unordered pair, deduped on (object, event-pair), so one run feeds DPOR
+// the full persistent set. A checker that reported only the first pair
+// per (object, key) would hand DPOR one branch per run, flip that pair
+// back and forth, and dead-end without reaching 2,1,0.
 
 ScenarioResult HotObjectScenario(Simulator& sim) {
   auto slot = std::make_shared<Racy<int>>("oracle.hot");
@@ -131,26 +130,6 @@ ScenarioResult HotObjectScenario(Simulator& sim) {
   }
   r.metrics = "handlers=3\n";
   return r;
-}
-
-// Runs the hot-object scenario under one simrace reporting mode and
-// says whether the planted full-reversal bug surfaced.
-bool HotObjectFound(bool single_report, uint64_t budget,
-                    uint64_t* schedules_out) {
-  ExploreOptions options;
-  options.max_schedules = budget;
-  options.race_is_failure = false;  // races are the branch fuel here
-  options.single_report_per_key = single_report;
-  Explorer ex(Scenario(HotObjectScenario), options);
-  ex.Explore();
-  *schedules_out = ex.stats().schedules_run;
-  for (const ExploreFailure& f : ex.failures()) {
-    if (f.kind == "invariant" &&
-        f.detail.find("full reversal") != std::string::npos) {
-      return true;
-    }
-  }
-  return false;
 }
 
 // --- Harness -------------------------------------------------------
@@ -182,13 +161,13 @@ bool HiddenFromSampledPolicies(const char* label, const Scenario& scenario) {
   return all_hidden;
 }
 
-// Exploration half: the smoke budget (64 schedules, matching the CI
-// job) must surface the planted invariant violation.
+// Exploration half: `budget` schedules (the smoke budget is 64,
+// matching the CI job) must surface the planted invariant violation.
 bool FoundByExplorer(const char* label, Scenario scenario,
                      const std::string& expect_detail,
-                     const std::string& expect_token) {
+                     const std::string& expect_token, uint64_t budget) {
   ExploreOptions options;
-  options.max_schedules = 64;
+  options.max_schedules = budget;
   // Races are the DPOR branch source here, not the planted defect.
   options.race_is_failure = false;
   Explorer ex(std::move(scenario), options);
@@ -228,36 +207,24 @@ int main() {
 
   std::printf("[A] tie-order bug (breaks only on permutation 1,2,0)\n");
   bool a_hidden = HiddenFromSampledPolicies("tie-order", TieScenario);
-  bool a_found =
-      FoundByExplorer("tie-order", TieScenario,
-                      "commit ran before prepare", /*expect_token=*/"");
+  bool a_found = FoundByExplorer("tie-order", TieScenario,
+                                 "commit ran before prepare",
+                                 /*expect_token=*/"", /*budget=*/64);
 
   std::printf("[B] failover-timing bug (crash in the ack-to-flush window)\n");
   bool b_hidden = HiddenFromSampledPolicies("failover", FaultScenario);
   bool b_found = FoundByExplorer("failover", FaultScenario,
-                                 "failed before WAL flush", "simex:1:0=2");
+                                 "failed before WAL flush", "simex:1:0=2",
+                                 /*budget=*/64);
 
   std::printf("[C] hot-object bug (breaks only on full reversal 2,1,0)\n");
-  constexpr uint64_t kHotBudget = 32;
-  uint64_t single_schedules = 0;
-  uint64_t multi_schedules = 0;
-  bool c_single = HotObjectFound(/*single_report=*/true, kHotBudget,
-                                 &single_schedules);
-  bool c_multi = HotObjectFound(/*single_report=*/false, kHotBudget,
-                                &multi_schedules);
-  std::printf("  hot-object single-rpt: %s (%llu schedules)\n",
-              c_single ? "found (legacy mode too strong?)"
-                       : "bug hidden (as planted)",
-              (unsigned long long)single_schedules);
-  std::printf("  hot-object multi-rpt : %s (%llu schedules)\n",
-              c_multi ? "found" : "MISSED the planted bug",
-              (unsigned long long)multi_schedules);
-  bool c_ok = !c_single && c_multi;
+  bool c_found = FoundByExplorer("hot-object", HotObjectScenario,
+                                 "full reversal", /*expect_token=*/"",
+                                 /*budget=*/32);
 
-  bool ok = a_hidden && a_found && b_hidden && b_found && c_ok;
+  bool ok = a_hidden && a_found && b_hidden && b_found && c_found;
   std::printf("simex oracle: %s\n",
-              ok ? "planted bugs hidden from sampling (and legacy "
-                   "single-report), found by exploration"
+              ok ? "planted bugs hidden from sampling, found by exploration"
                  : "FAILED");
   return ok ? 0 : 1;
 }
