@@ -71,8 +71,9 @@ WALL_THROUGHPUT_UNITS = {"events_per_sec", "bytes_per_second",
                          "items_per_second"}
 
 # Micro-kernel benches gated in CI; a filter keeps the job fast.
-MICRO_FILTER = ("BM_Crc32|BM_DeflateDecompress|BM_HuffmanDecode|"
-                "BM_SimulatorEvents|BM_PeriodicTaskTicks")
+MICRO_FILTER = ("BM_Crc32|BM_DeflateCompress|BM_DeflateDecompress|"
+                "BM_HuffmanDecode|BM_RegexCount|BM_SimulatorEvents|"
+                "BM_PeriodicTaskTicks")
 
 
 # JSON-metric bench binaries gated against the baseline.

@@ -1,5 +1,6 @@
 #include "core/compute/dp_kernel.h"
 
+#include <charconv>
 #include <cstring>
 
 #include "hw/calibration.h"
@@ -18,6 +19,22 @@ std::string ParamOr(const KernelParams& params, const std::string& key,
                     const std::string& fallback) {
   auto it = params.find(key);
   return it == params.end() ? fallback : it->second;
+}
+
+// Param `key` (or `fallback` when absent) read as a T. The whole text
+// must be a number that fits in T; anything else is InvalidArgument.
+template <typename T>
+Result<T> NumberParam(const KernelParams& params, const std::string& key,
+                      const std::string& fallback) {
+  std::string text = ParamOr(params, key, fallback);
+  T value{};
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    return Status::InvalidArgument("kernel: param '" + key +
+                                   "' is not a valid number: '" + text + "'");
+  }
+  return value;
 }
 
 // --- crypto parameter handling -------------------------------------------
@@ -87,10 +104,17 @@ Result<kern::CompareOp> OpFromString(const std::string& op) {
 
 Result<kern::Value> LiteralFromParams(const KernelParams& params) {
   std::string type = ParamOr(params, "value_type", "i64");
-  std::string value = ParamOr(params, "value", "0");
-  if (type == "i64") return kern::Value(int64_t(std::stoll(value)));
-  if (type == "f64") return kern::Value(std::stod(value));
-  if (type == "str") return kern::Value(value);
+  if (type == "i64") {
+    DPDPU_ASSIGN_OR_RETURN(int64_t v,
+                           NumberParam<int64_t>(params, "value", "0"));
+    return kern::Value(v);
+  }
+  if (type == "f64") {
+    DPDPU_ASSIGN_OR_RETURN(double v,
+                           NumberParam<double>(params, "value", "0"));
+    return kern::Value(v);
+  }
+  if (type == "str") return kern::Value(ParamOr(params, "value", "0"));
   return Status::InvalidArgument("kernel: bad value_type " + type);
 }
 
@@ -98,7 +122,7 @@ Result<kern::Value> LiteralFromParams(const KernelParams& params) {
 
 Result<Buffer> CompressFn(ByteSpan input, const KernelParams& params) {
   kern::DeflateOptions options;
-  options.level = std::stoi(ParamOr(params, "level", "6"));
+  DPDPU_ASSIGN_OR_RETURN(options.level, NumberParam<int>(params, "level", "6"));
   return kern::DeflateCompress(input, options);
 }
 
@@ -107,10 +131,10 @@ Result<Buffer> DecompressFn(ByteSpan input, const KernelParams&) {
 }
 
 Result<Buffer> EncryptFn(ByteSpan input, const KernelParams& params) {
+  DPDPU_ASSIGN_OR_RETURN(uint32_t counter,
+                         NumberParam<uint32_t>(params, "counter", "0"));
   return kern::ChaCha20Xor(KeyFromParams(params), NonceFromParams(params),
-                           uint32_t(std::stoul(ParamOr(params, "counter",
-                                                       "0"))),
-                           input);
+                           counter, input);
 }
 
 Result<Buffer> RegexCountFn(ByteSpan input, const KernelParams& params) {

@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "common/logging.h"
@@ -13,22 +14,47 @@
 
 namespace dpdpu::kern {
 
+namespace {
+
+// Length code (symbol - 257) of each match length, indexed by length - 3.
+constexpr std::array<uint8_t, kMaxMatch - kMinMatch + 1> MakeLengthCodes() {
+  std::array<uint8_t, kMaxMatch - kMinMatch + 1> table{};
+  int code = 0;
+  for (int length = kMinMatch; length <= kMaxMatch; ++length) {
+    while (code < 28 && length >= kLengthBase[code + 1]) ++code;
+    table[length - kMinMatch] = uint8_t(code);
+  }
+  return table;
+}
+
+// Distance code of distance d: entry d - 1 for d <= 256, else entry
+// 256 + ((d - 1) >> 7). Codes above 15 start on multiples of 128 past
+// 256 and have at least 7 extra bits, so the second half is exact.
+constexpr std::array<uint8_t, 512> MakeDistCodes() {
+  std::array<uint8_t, 512> table{};
+  for (int i = 0; i < 512; ++i) {
+    int distance = i < 256 ? i + 1 : ((i - 256) << 7) + 1;
+    int code = 0;
+    while (code < 29 && distance >= kDistBase[code + 1]) ++code;
+    table[i] = uint8_t(code);
+  }
+  return table;
+}
+
+constexpr auto kLengthCode = MakeLengthCodes();
+constexpr auto kDistCode = MakeDistCodes();
+
+}  // namespace
+
 int LengthToSymbol(int length) {
   DPDPU_CHECK(length >= kMinMatch && length <= kMaxMatch);
-  // 29 codes; linear scan from the top is fine (encoder caches freqs, the
-  // scan is not the hot path — match search is).
-  for (int i = 28; i >= 0; --i) {
-    if (length >= kLengthBase[i]) return 257 + i;
-  }
-  return 257;
+  return 257 + kLengthCode[length - kMinMatch];
 }
 
 int DistanceToSymbol(int distance) {
   DPDPU_CHECK(distance >= 1 && distance <= kWindowSize);
-  for (int i = 29; i >= 0; --i) {
-    if (distance >= kDistBase[i]) return i;
-  }
-  return 0;
+  int d = distance - 1;
+  return kDistCode[d < 256 ? d : 256 + (d >> 7)];
 }
 
 namespace {
@@ -74,13 +100,39 @@ MatchParams ParamsForLevel(int level) {
   }
 }
 
+// Hash-chain match finder. Its search rule defines the output bytes:
+// Find(pos) looks at the newest max_chain positions on pos's 3-byte hash
+// chain that lie within the window, and returns the newest one of the
+// greatest match length, stopping early at the first that reaches
+// nice_length or max_len. The search below computes exactly that rule
+// without extending every chain entry (DESIGN.md §4b):
+//  - Every candidate longer than 3 shares pos's first 4 bytes, so the
+//    search walks a second chain keyed on a 4-byte hash and skips
+//    entries whose first 4 bytes differ. Each position's rank on its
+//    3-byte chain replaces the 3-byte walk's step budget: a candidate is
+//    in budget while fewer than max_chain positions of its 3-byte chain
+//    are newer than it.
+//  - Chain links and ranks live in rings indexed by position & mask_,
+//    window-sized or, for a shorter input, just large enough to hold it.
+//    Position p's slot is overwritten only by p plus a multiple of the
+//    ring size. Positions are inserted only up to the one being searched,
+//    so no slot of an in-window candidate has been overwritten.
 class MatchFinder {
  public:
   MatchFinder(ByteSpan in, MatchParams params)
       : in_(in),
         params_(params),
-        head_(kHashSize, -1),
-        prev_(in.size(), -1) {}
+        ring_size_(std::bit_ceil(
+            std::clamp<size_t>(in.size(), 256, kWindowSize))),
+        mask_(ring_size_ - 1),
+        hash4_shift_(32 - std::countr_zero(ring_size_)),
+        head3_(kHash3Size, -1),
+        head4_(ring_size_, -1),
+        prev3_(ring_size_),
+        prev4_(ring_size_),
+        rank_(ring_size_) {
+    DPDPU_CHECK(in.size() < size_t(INT32_MAX));
+  }
 
   struct Match {
     int len = 0;
@@ -89,43 +141,92 @@ class MatchFinder {
 
   /// Longest match at `pos` against strictly earlier inserted positions.
   Match Find(size_t pos) const {
-    Match best;
-    if (pos + kMinMatch > in_.size()) return best;
-    size_t limit = pos > kWindowSize ? pos - kWindowSize : 0;
-    int max_len =
+    if (pos + kMinMatch > in_.size()) return Match{};
+    const int32_t limit = pos > kWindowSize ? int32_t(pos - kWindowSize) : 0;
+    const int32_t head = head3_[Hash3(pos)];
+    if (head < limit) return Match{};
+    const int max_len =
         static_cast<int>(std::min<size_t>(kMaxMatch, in_.size() - pos));
+    Match best;
+    if (max_len > kMinMatch) {
+      const uint16_t head_rank = rank_[head & mask_];
+      const uint32_t first4 = Load32(pos);
+      for (int32_t cand = head4_[Hash4(pos)]; cand >= limit;
+           cand = prev4_[cand & mask_]) {
+        if (Load32(size_t(cand)) != first4) continue;
+        // cand is on pos's 3-byte chain, like every older entry that
+        // passes the test above, so once one is out of budget all are.
+        if (uint16_t(head_rank - rank_[cand & mask_]) >= params_.max_chain) {
+          break;
+        }
+        // Quick reject: to beat best, cand must also match the 4 bytes
+        // that end at offset best.len (best.len is 0 or at least 4).
+        if (best.len > 0 && Load32(size_t(cand) + best.len - 3) !=
+                                Load32(pos + best.len - 3)) {
+          continue;
+        }
+        int len = MatchLength(size_t(cand), pos, max_len);
+        if (len > best.len) {
+          best.len = len;
+          best.dist = static_cast<int>(pos) - cand;
+          if (len >= params_.nice_length || len == max_len) break;
+        }
+      }
+      if (best.len > kMinMatch) return best;
+    }
+    // No candidate is longer than 3: take the newest in-budget one whose
+    // first 3 bytes match (the 3-byte chain also holds hash collisions).
+    const uint32_t first3 = Load24(pos);
     int chain = params_.max_chain;
-    for (int cand = head_[Hash(pos)];
-         cand >= 0 && static_cast<size_t>(cand) >= limit && chain > 0;
-         cand = prev_[cand], --chain) {
-      int len = MatchLength(static_cast<size_t>(cand), pos, max_len);
-      if (len > best.len) {
-        best.len = len;
-        best.dist = static_cast<int>(pos) - cand;
-        if (len >= params_.nice_length || len == max_len) break;
+    for (int32_t cand = head; cand >= limit && chain > 0;
+         cand = prev3_[cand & mask_], --chain) {
+      if (Load24(size_t(cand)) == first3) {
+        return Match{kMinMatch, static_cast<int>(pos) - cand};
       }
     }
-    if (best.len < kMinMatch) return Match{};
-    return best;
+    return Match{};
   }
 
   /// Inserts all positions in [inserted_, end) into the hash chains.
   void InsertUpTo(size_t end) {
     for (; inserted_ < end; ++inserted_) {
       if (inserted_ + kMinMatch > in_.size()) continue;
-      uint32_t h = Hash(inserted_);
-      prev_[inserted_] = head_[h];
-      head_[h] = static_cast<int32_t>(inserted_);
+      const size_t slot = inserted_ & mask_;
+      const uint32_t h3 = Hash3(inserted_);
+      const int32_t head = head3_[h3];
+      prev3_[slot] = head;
+      // When the previous chain entry has left the window its slot may
+      // hold another position's rank; no search compares across that gap.
+      rank_[slot] = uint16_t(rank_[head & mask_] + 1);
+      head3_[h3] = static_cast<int32_t>(inserted_);
+      if (inserted_ + 4 <= in_.size()) {
+        const uint32_t h4 = Hash4(inserted_);
+        prev4_[slot] = head4_[h4];
+        head4_[h4] = static_cast<int32_t>(inserted_);
+      }
     }
   }
 
  private:
-  static constexpr uint32_t kHashSize = 1u << 15;
+  static constexpr uint32_t kHash3Size = 1u << 15;
 
-  uint32_t Hash(size_t pos) const {
-    uint32_t v = uint32_t(in_[pos]) << 16 | uint32_t(in_[pos + 1]) << 8 |
-                 uint32_t(in_[pos + 2]);
-    return (v * 2654435761u) >> 17;
+  uint32_t Load24(size_t pos) const {
+    return uint32_t(in_[pos]) << 16 | uint32_t(in_[pos + 1]) << 8 |
+           uint32_t(in_[pos + 2]);
+  }
+
+  uint32_t Load32(size_t pos) const {
+    uint32_t v;
+    std::memcpy(&v, in_.data() + pos, 4);
+    return v;
+  }
+
+  uint32_t Hash3(size_t pos) const {
+    return (Load24(pos) * 2654435761u) >> 17;
+  }
+
+  uint32_t Hash4(size_t pos) const {
+    return (Load32(pos) * 2654435761u) >> hash4_shift_;
   }
 
   // Word-wise match extension: compare 8 bytes per step, locate the first
@@ -154,8 +255,14 @@ class MatchFinder {
 
   ByteSpan in_;
   MatchParams params_;
-  std::vector<int32_t> head_;
-  std::vector<int32_t> prev_;
+  size_t ring_size_;
+  size_t mask_;
+  int hash4_shift_;
+  std::vector<int32_t> head3_;  // newest position per 3-byte hash
+  std::vector<int32_t> head4_;  // newest position per 4-byte hash
+  std::vector<int32_t> prev3_;  // ring: next older entry, 3-byte chain
+  std::vector<int32_t> prev4_;  // ring: next older entry, 4-byte chain
+  std::vector<uint16_t> rank_;  // ring: rank on the 3-byte chain, mod 2^16
   size_t inserted_ = 0;
 };
 
@@ -250,7 +357,7 @@ int ClenExtraBits(uint8_t symbol) {
 }
 
 // Payload size in bits of the token stream under the given code lengths.
-uint64_t PayloadBits(const std::vector<Token>& tokens,
+uint64_t PayloadBits(std::span<const Token> tokens,
                      const std::vector<uint8_t>& litlen_lengths,
                      const std::vector<uint8_t>& dist_lengths) {
   uint64_t bits = 0;
@@ -268,7 +375,7 @@ uint64_t PayloadBits(const std::vector<Token>& tokens,
   return bits;
 }
 
-void WriteTokens(BitWriter& bw, const std::vector<Token>& tokens,
+void WriteTokens(BitWriter& bw, std::span<const Token> tokens,
                  const BlockCodes& codes) {
   for (const Token& t : tokens) {
     if (t.dist == 0) {
@@ -318,7 +425,7 @@ void WriteStored(BitWriter& bw, ByteSpan data, bool final) {
 }
 
 // Encodes one block of tokens covering input bytes [range_begin, range_end).
-void EncodeBlock(BitWriter& bw, const std::vector<Token>& tokens,
+void EncodeBlock(BitWriter& bw, std::span<const Token> tokens,
                  ByteSpan block_input, bool final) {
   // Symbol frequencies.
   std::vector<uint64_t> litlen_freq(kNumLitLenSymbols, 0);
@@ -447,7 +554,7 @@ Result<Buffer> DeflateCompress(ByteSpan input, const DeflateOptions& options) {
     size_t range_begin = token_pos[i];
     size_t range_end =
         (j == tokens.size()) ? input.size() : token_pos[j];
-    std::vector<Token> block(tokens.begin() + i, tokens.begin() + j);
+    std::span<const Token> block(tokens.data() + i, j - i);
     bool final = (j == tokens.size());
     EncodeBlock(bw, block,
                 input.subspan(range_begin, range_end - range_begin), final);

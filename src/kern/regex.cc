@@ -1,6 +1,10 @@
 #include "kern/regex.h"
 
+#include <algorithm>
+#include <map>
 #include <memory>
+
+#include "common/logging.h"
 
 namespace dpdpu::kern {
 
@@ -343,14 +347,6 @@ class Parser {
 // Compilation: AST -> instruction list.
 // ---------------------------------------------------------------------------
 
-namespace {
-
-struct CompileState {
-  std::vector<std::bitset<256>>* classes;
-};
-
-}  // namespace
-
 Result<Regex> Regex::Compile(std::string_view pattern) {
   Parser parser(pattern);
   DPDPU_ASSIGN_OR_RETURN(NodePtr root, parser.Parse());
@@ -424,11 +420,247 @@ Result<Regex> Regex::Compile(std::string_view pattern) {
   };
   Emitter{&re}.Emit(*root);
   re.program_.push_back(Inst{Op::kMatch, 0, 0});
+
+  // Refine the byte partition by each class in turn: bytes stay together
+  // while every class seen so far contains both or neither.
+  for (const std::bitset<256>& cls : re.classes_) {
+    std::array<int, 512> renumber;
+    renumber.fill(-1);
+    int count = 0;
+    for (int b = 0; b < 256; ++b) {
+      int& id = renumber[re.byte_class_[b] * 2 + int(cls.test(b))];
+      if (id < 0) id = count++;
+      re.byte_class_[b] = uint8_t(id);
+    }
+    re.num_byte_classes_ = count;
+  }
   return re;
 }
 
 // ---------------------------------------------------------------------------
-// Pike VM execution.
+// Lazy DFA execution.
+// ---------------------------------------------------------------------------
+
+// A DFA state is the sorted set of kChar, kMatch and kAssertEnd pcs that
+// an epsilon closure reaches at an interior text position, where '^'
+// fails and '$' is left pending. A transition is computed the first time
+// its (state, byte class) pair comes up. '$' is resolved only at the end
+// of the text, by expanding the state's pending kAssertEnd pcs. States
+// and transitions are cached up to kCacheBytes; a full cache is flushed,
+// which bounds memory for any pattern at the cost of recomputing states.
+class Regex::Dfa {
+ public:
+  static constexpr int kDead = 0;  // the empty set: no thread survives
+
+  Dfa(const Regex& re, std::string_view text)
+      : re_(re),
+        text_(text),
+        mark_(re.program_.size(), 0),
+        class_byte_(size_t(re.num_byte_classes_), 0) {
+    for (int b = 255; b >= 0; --b) class_byte_[re.byte_class_[b]] = uint8_t(b);
+    Reset();
+  }
+
+  /// End of the longest match starting at `start`, or -1 when none.
+  ptrdiff_t LongestMatch(size_t start) {
+    int s = start_[start == 0];
+    ptrdiff_t best = -1;
+    for (size_t pos = start; pos < text_.size(); ++pos) {
+      if (match_[size_t(s)]) best = ptrdiff_t(pos);
+      s = Next(s, uint8_t(text_[pos]));
+      if (s == kDead) return best;
+    }
+    return AcceptsAtEnd(s) ? ptrdiff_t(text_.size()) : best;
+  }
+
+  /// Leftmost match starting at or after `from`: stores its start in
+  /// `*start` and returns its longest end, or -1 when there is none.
+  ptrdiff_t NextMatch(size_t from, size_t* start) {
+    for (size_t pos = from; pos <= text_.size(); ++pos) {
+      if (pos > 0 && !match_[size_t(start_[0])]) {
+        // Skip starts whose first byte leads straight to the dead state.
+        // start_[0] keeps its id across a flush (see Reset).
+        while (pos < text_.size() &&
+               Next(start_[0], uint8_t(text_[pos])) == kDead) {
+          ++pos;
+        }
+      }
+      ptrdiff_t end = LongestMatch(pos);
+      if (end >= 0) {
+        *start = pos;
+        return end;
+      }
+    }
+    return -1;
+  }
+
+ private:
+  static constexpr int kUnknown = -1;
+  static constexpr size_t kCacheBytes = size_t(1) << 20;
+
+  int Next(int s, uint8_t byte) {
+    int t = trans_[size_t(s) * class_byte_.size() + re_.byte_class_[byte]];
+    return t == kUnknown ? Compute(s, re_.byte_class_[byte]) : t;
+  }
+
+  // Fills in the transition of state `s` on byte class `cls`.
+  int Compute(int s, int cls) {
+    const uint8_t byte = class_byte_[size_t(cls)];
+    std::vector<int> next;
+    ++gen_;
+    for (int pc : *pcs_[size_t(s)]) {
+      const Inst& inst = re_.program_[size_t(pc)];
+      if (inst.op == Op::kChar && re_.classes_[size_t(inst.x)].test(byte)) {
+        AddClosure(pc + 1, /*at_begin=*/false, /*at_end=*/false, &next);
+      }
+    }
+    std::sort(next.begin(), next.end());
+    auto it = ids_.find(next);
+    if (it != ids_.end()) {
+      trans_[size_t(s) * class_byte_.size() + size_t(cls)] = it->second;
+      return it->second;
+    }
+    if (bytes_ + StateBytes(next) > kCacheBytes) {
+      Reset();  // `s` is gone; its transition is computed again if needed
+      return Intern(std::move(next));
+    }
+    int t = Intern(std::move(next));
+    trans_[size_t(s) * class_byte_.size() + size_t(cls)] = t;
+    return t;
+  }
+
+  // At the end of the text '$' holds, so the pending kAssertEnd pcs may
+  // lead on to a match; '^' holds there only when the text is empty.
+  bool AcceptsAtEnd(int s) {
+    if (match_[size_t(s)]) return true;
+    std::vector<int> reached;
+    ++gen_;
+    for (int pc : *pcs_[size_t(s)]) {
+      if (re_.program_[size_t(pc)].op == Op::kAssertEnd) {
+        AddClosure(pc + 1, text_.empty(), /*at_end=*/true, &reached);
+      }
+    }
+    return HoldsMatch(reached);
+  }
+
+  bool HoldsMatch(const std::vector<int>& pcs) const {
+    for (int pc : pcs) {
+      if (re_.program_[size_t(pc)].op == Op::kMatch) return true;
+    }
+    return false;
+  }
+
+  // Appends to `out` the kChar and kMatch pcs that the epsilon closure of
+  // `pc` reaches, and its kAssertEnd pcs unless `at_end` lets them pass.
+  // Skips pcs already marked in the current generation.
+  void AddClosure(int pc, bool at_begin, bool at_end, std::vector<int>* out) {
+    stack_.push_back(pc);
+    while (!stack_.empty()) {
+      int p = stack_.back();
+      stack_.pop_back();
+      if (mark_[size_t(p)] == gen_) continue;
+      mark_[size_t(p)] = gen_;
+      const Inst& inst = re_.program_[size_t(p)];
+      switch (inst.op) {
+        case Op::kJump:
+          stack_.push_back(inst.x);
+          break;
+        case Op::kSplit:
+          stack_.push_back(inst.y);
+          stack_.push_back(inst.x);
+          break;
+        case Op::kAssertBegin:
+          if (at_begin) stack_.push_back(p + 1);
+          break;
+        case Op::kAssertEnd:
+          if (at_end) {
+            stack_.push_back(p + 1);
+          } else {
+            out->push_back(p);
+          }
+          break;
+        case Op::kChar:
+        case Op::kMatch:
+          out->push_back(p);
+          break;
+      }
+    }
+  }
+
+  size_t StateBytes(const std::vector<int>& pcs) const {
+    return 64 + pcs.size() * sizeof(int) + class_byte_.size() * sizeof(int);
+  }
+
+  int Intern(std::vector<int> pcs) {
+    int id = int(pcs_.size());
+    bytes_ += StateBytes(pcs);
+    match_.push_back(HoldsMatch(pcs));
+    auto [it, inserted] = ids_.emplace(std::move(pcs), id);
+    DPDPU_CHECK(inserted);
+    pcs_.push_back(&it->first);
+    trans_.resize(trans_.size() + class_byte_.size(), kUnknown);
+    return id;
+  }
+
+  // Empties the cache and interns the dead and start states again. They
+  // are interned in the same order every time, so their ids never change.
+  void Reset() {
+    ids_.clear();
+    pcs_.clear();
+    match_.clear();
+    trans_.clear();
+    bytes_ = 0;
+    Intern({});
+    for (bool at_begin : {true, false}) {
+      std::vector<int> pcs;
+      ++gen_;
+      AddClosure(0, at_begin, /*at_end=*/false, &pcs);
+      std::sort(pcs.begin(), pcs.end());
+      auto it = ids_.find(pcs);
+      start_[at_begin] = it != ids_.end() ? it->second : Intern(std::move(pcs));
+    }
+  }
+
+  const Regex& re_;
+  std::string_view text_;
+  std::vector<uint32_t> mark_;  // closure generation per pc
+  uint32_t gen_ = 0;
+  std::vector<int> stack_;
+  std::vector<uint8_t> class_byte_;  // a representative byte per class
+  std::map<std::vector<int>, int> ids_;
+  std::vector<const std::vector<int>*> pcs_;  // per state: its key in ids_
+  std::vector<uint8_t> match_;                // per state: holds kMatch
+  std::vector<int> trans_;  // per state and byte class: kUnknown or a state
+  size_t bytes_ = 0;
+  std::array<int, 2> start_{};  // [at_begin]
+};
+
+bool Regex::FullMatch(std::string_view text) const {
+  return Dfa(*this, text).LongestMatch(0) == ptrdiff_t(text.size());
+}
+
+bool Regex::PartialMatch(std::string_view text) const {
+  size_t start = 0;
+  return Dfa(*this, text).NextMatch(0, &start) >= 0;
+}
+
+size_t Regex::CountMatches(std::string_view text) const {
+  Dfa dfa(*this, text);
+  size_t count = 0;
+  size_t pos = 0;
+  while (pos <= text.size()) {
+    size_t start = 0;
+    ptrdiff_t end = dfa.NextMatch(pos, &start);
+    if (end < 0) break;
+    ++count;
+    // An empty match advances one byte.
+    pos = size_t(end) > start ? size_t(end) : start + 1;
+  }
+  return count;
+}
+
+// ---------------------------------------------------------------------------
+// Pike VM reference.
 // ---------------------------------------------------------------------------
 
 void Regex::AddThread(std::vector<int>& list, std::vector<uint32_t>& mark,
@@ -456,7 +688,7 @@ void Regex::AddThread(std::vector<int>& list, std::vector<uint32_t>& mark,
   }
 }
 
-ptrdiff_t Regex::RunFrom(std::string_view text, size_t start) const {
+ptrdiff_t Regex::VmLongestMatch(std::string_view text, size_t start) const {
   std::vector<int> current, next;
   std::vector<uint32_t> mark(program_.size(), 0);
   uint32_t gen = 1;
@@ -483,33 +715,6 @@ ptrdiff_t Regex::RunFrom(std::string_view text, size_t start) const {
     std::swap(current, next);
   }
   return best_end;
-}
-
-bool Regex::FullMatch(std::string_view text) const {
-  return RunFrom(text, 0) == static_cast<ptrdiff_t>(text.size());
-}
-
-bool Regex::PartialMatch(std::string_view text) const {
-  for (size_t start = 0; start <= text.size(); ++start) {
-    if (RunFrom(text, start) >= 0) return true;
-  }
-  return false;
-}
-
-size_t Regex::CountMatches(std::string_view text) const {
-  size_t count = 0;
-  size_t pos = 0;
-  while (pos <= text.size()) {
-    ptrdiff_t end = RunFrom(text, pos);
-    if (end < 0) {
-      ++pos;
-      continue;
-    }
-    ++count;
-    pos = (static_cast<size_t>(end) > pos) ? static_cast<size_t>(end)
-                                           : pos + 1;
-  }
-  return count;
 }
 
 }  // namespace dpdpu::kern

@@ -1,7 +1,12 @@
-// Regular expression DP kernel: a from-scratch Thompson-NFA engine with
-// Pike-VM execution (no backtracking, linear time in text length). Models
-// the BlueField-2 RegEx accelerator's workload; the same code runs when
-// the kernel is placed on a CPU.
+// Regular expression DP kernel: a self-contained engine with no
+// backtracking. A pattern compiles to a Thompson program (an NFA), which a
+// lazily built DFA executes: DFA states are sets of program positions,
+// created the first time the text reaches them (Cox, "Regular Expression
+// Matching Can Be Simple And Fast"; the RE2 design). A run from one start
+// position is linear in the text it reads. A Pike VM over the same program
+// is kept as the reference the DFA is tested against. Models the
+// BlueField-2 RegEx accelerator's workload; the same code runs when the
+// kernel is placed on a CPU.
 //
 // Supported syntax: literals, '.', escapes (\d \D \w \W \s \S \n \t \r and
 // escaped metacharacters), character classes [a-z0-9] and [^...],
@@ -11,7 +16,9 @@
 #ifndef DPDPU_KERN_REGEX_H_
 #define DPDPU_KERN_REGEX_H_
 
+#include <array>
 #include <bitset>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -39,6 +46,12 @@ class Regex {
   const std::string& pattern() const { return pattern_; }
   size_t instruction_count() const { return program_.size(); }
 
+  /// Reference for the three methods above: the end of the longest match
+  /// that starts at `start`, or -1 when there is none, found by a Pike VM
+  /// that steps every NFA thread in lockstep. Tests hold the DFA to it,
+  /// as Crc32 is held to Crc32UpdateBytewise.
+  ptrdiff_t VmLongestMatch(std::string_view text, size_t start) const;
+
  private:
   enum class Op : uint8_t { kChar, kSplit, kJump, kAssertBegin, kAssertEnd,
                             kMatch };
@@ -49,19 +62,21 @@ class Regex {
     int y = 0;  // kSplit: second target
   };
 
+  class Dfa;  // one call's lazily built DFA (regex.cc)
+
   Regex() = default;
 
   // Pike-VM step machinery.
   void AddThread(std::vector<int>& list, std::vector<uint32_t>& mark,
                  uint32_t gen, int pc, size_t pos, size_t len) const;
-  // Runs the VM from a fixed start position; returns -1 when no match, or
-  // the longest match end offset.
-  ptrdiff_t RunFrom(std::string_view text, size_t start) const;
 
   std::string pattern_;
   std::vector<Inst> program_;
   std::vector<std::bitset<256>> classes_;
-  bool anchored_begin_ = false;  // informational; anchors are instructions
+  // Bytes that every class treats alike share a byte class; DFA
+  // transitions are kept per byte class instead of per byte.
+  std::array<uint8_t, 256> byte_class_{};
+  int num_byte_classes_ = 1;
 };
 
 }  // namespace dpdpu::kern

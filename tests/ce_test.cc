@@ -8,6 +8,7 @@
 #include "core/compute/sproc.h"
 #include "hw/calibration.h"
 #include "kern/deflate.h"
+#include "kern/relational.h"
 #include "kern/textgen.h"
 #include "sim/simulator.h"
 
@@ -231,6 +232,53 @@ TEST(ComputeEngineTest, KernelErrorSurfacesInWorkItem) {
   f.sim.Run();
   ASSERT_TRUE((*item)->done());
   EXPECT_FALSE((*item)->result().ok());
+}
+
+// Runs one builtin kernel on the DPU CPU; returns its result's status.
+Status RunOnDpuCpu(const char* kernel, Buffer input, KernelParams params) {
+  CeFixture f;
+  auto item = f.engine.Invoke(kernel, std::move(input), std::move(params),
+                              {ExecTarget::kDpuCpu});
+  if (!item.ok()) return item.status();
+  f.sim.Run();
+  return (*item)->result().status();
+}
+
+TEST(ComputeEngineTest, MalformedLevelIsInvalidArgument) {
+  Buffer text = kern::GenerateText(1000, {});
+  EXPECT_TRUE(RunOnDpuCpu(kKernelCompress, text, {{"level", "fast"}})
+                  .IsInvalidArgument());
+  EXPECT_TRUE(RunOnDpuCpu(kKernelCompress, text, {{"level", "6x"}})
+                  .IsInvalidArgument());
+  EXPECT_TRUE(RunOnDpuCpu(kKernelCompress, text, {{"level", "1"}}).ok());
+}
+
+TEST(ComputeEngineTest, MalformedCounterIsInvalidArgument) {
+  Buffer text = kern::GenerateText(1000, {});
+  EXPECT_TRUE(RunOnDpuCpu(kKernelEncrypt, text, {{"counter", "x"}})
+                  .IsInvalidArgument());
+  EXPECT_TRUE(RunOnDpuCpu(kKernelEncrypt, text, {{"counter", "4294967296"}})
+                  .IsInvalidArgument());
+  EXPECT_TRUE(RunOnDpuCpu(kKernelEncrypt, text, {{"counter", "7"}}).ok());
+}
+
+TEST(ComputeEngineTest, MalformedFilterValueIsInvalidArgument) {
+  kern::Schema schema(
+      {{"id", kern::ColumnType::kInt64}, {"v", kern::ColumnType::kDouble}});
+  kern::RowPageBuilder builder(schema);
+  ASSERT_TRUE(
+      builder.AddRow({kern::Value(int64_t(1)), kern::Value(0.5)}).ok());
+  Buffer page = builder.Finish();
+  KernelParams params = {{"schema", "id:i64,v:f64"}, {"col", "id"},
+                         {"op", "<"},        {"value_type", "i64"},
+                         {"value", "12abc"}};
+  EXPECT_TRUE(RunOnDpuCpu(kKernelFilter, page, params).IsInvalidArgument());
+  params["col"] = "v";
+  params["value_type"] = "f64";
+  params["value"] = "1.5.2";
+  EXPECT_TRUE(RunOnDpuCpu(kKernelFilter, page, params).IsInvalidArgument());
+  params["value"] = "1.5";
+  EXPECT_TRUE(RunOnDpuCpu(kKernelFilter, page, params).ok());
 }
 
 TEST(ComputeEngineTest, UnknownKernelIsNotFound) {

@@ -1,6 +1,7 @@
 // Tests for the DEFLATE codec: known-stream vectors, encode/decode
 // round-trips across data shapes and levels (parameterized property
-// sweep), Huffman utilities, and corruption handling.
+// sweep), pinned compressor output bytes, Huffman utilities, and
+// corruption handling.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 
 #include "common/rng.h"
 #include "kern/bitio.h"
+#include "kern/crc32.h"
 #include "kern/deflate.h"
 #include "kern/deflate_tables.h"
 #include "kern/huffman.h"
@@ -438,6 +440,95 @@ TEST(DeflateTest, HigherLevelNeverMuchWorse) {
   EXPECT_LE(best->size(), fast->size() + fast->size() / 50);
 }
 
+// Pinned compressor output. Compressed sizes feed the simulator's DMA
+// timing, so a faster match finder must emit the same bytes, not just a
+// stream that round-trips. Each (input kind, level) folds the size and
+// CRC32 of the output for every prefix length in kGoldenSizes into one
+// value; the match finder's search rule (MatchFinder in deflate.cc) must
+// keep reproducing them.
+Buffer GoldenInput(int kind) {
+  constexpr size_t kSize = 300 * 1024;
+  Pcg32 rng(uint64_t(kind) + 1000);
+  Buffer in(kSize);
+  switch (kind) {
+    case 0:
+      return GenerateText(kSize, {});
+    case 1:
+      return GenerateText(kSize, {uint64_t(77), 8192, 0.95});
+    case 2:
+      return in;  // zeros
+    case 3:
+      return GenerateRandomBytes(kSize, 5);
+    case 4:
+      for (size_t i = 0; i < kSize; ++i) in[i] = uint8_t(i % 251);
+      return in;
+    case 5:
+      for (size_t i = 0; i < kSize; ++i) in[i] = "ab"[rng.NextBounded(2)];
+      return in;
+    default:
+      return GenerateText(kSize, {uint64_t(3), 16, 0.95});
+  }
+}
+
+TEST(DeflateTest, OutputBytesArePinned) {
+  constexpr size_t kGoldenSizes[] = {0,     1,     2,     3,     4,
+                                     5,     100,   258,   259,   4096,
+                                     32767, 32768, 32769, 300 * 1024};
+  constexpr int kKinds = 7;
+  // kGolden[kind][level - 1] = {total output bytes, folded CRC32}.
+  constexpr uint64_t kGolden[kKinds][9][2] = {
+      // GenerateText, seed 1
+      {{146922, 0xa5fa1d28}, {142895, 0x122cfa88}, {138775, 0x2e616ce3},
+       {138755, 0x94b66abf}, {134997, 0x270ce64b}, {131811, 0xd4260659},
+       {129505, 0xfdbc10b6}, {128488, 0xb9ef221c}, {128371, 0x96fd0f91}},
+      // GenerateText, seed 77
+      {{151511, 0x0500ddff}, {147590, 0x5cd60665}, {143081, 0x828ed271},
+       {143219, 0xe3482999}, {138986, 0xa6c422ec}, {135433, 0xda48bbae},
+       {133326, 0xee5220fe}, {132575, 0x6144435a}, {132547, 0x3c13dcc9}},
+      // zeros
+      {{508, 0x7730086e}, {508, 0x7730086e}, {508, 0x7730086e},
+       {508, 0x7730086e}, {508, 0x7730086e}, {508, 0x7730086e},
+       {508, 0x7730086e}, {508, 0x7730086e}, {508, 0x7730086e}},
+      // GenerateRandomBytes
+      {{410324, 0x00bea1b3}, {410324, 0x00bea1b3}, {410324, 0x00bea1b3},
+       {410324, 0x00bea1b3}, {410324, 0x00bea1b3}, {410324, 0x00bea1b3},
+       {410324, 0x00bea1b3}, {410324, 0x00bea1b3}, {410324, 0x00bea1b3}},
+      // i % 251
+      {{3796, 0xc3070d41}, {3796, 0xc3070d41}, {3796, 0xc3070d41},
+       {3796, 0xc3070d41}, {3796, 0xc3070d41}, {3796, 0xc3070d41},
+       {3796, 0xc3070d41}, {3796, 0xc3070d41}, {3796, 0xc3070d41}},
+      // random a/b
+      {{73572, 0x218d17d7}, {70523, 0x60f6ce2c}, {68171, 0x1ec6666b},
+       {69084, 0xf57b88c6}, {67344, 0x5849eb9d}, {65800, 0xb092739a},
+       {64862, 0x993b3c5d}, {63944, 0x5caee841}, {63756, 0xa675aa40}},
+      // 16-word vocabulary
+      {{74785, 0xd223925e}, {70167, 0x766939c6}, {66383, 0xe3a9fbd1},
+       {66965, 0x5e94cdc3}, {63875, 0xdb58a1fd}, {61538, 0x4fbc8c25},
+       {60170, 0xebc7d0e9}, {59236, 0xaecd9746}, {58805, 0x925281ba}}};
+  for (int kind = 0; kind < kKinds; ++kind) {
+    Buffer input = GoldenInput(kind);
+    for (int level = 1; level <= 9; ++level) {
+      uint64_t total = 0;
+      uint32_t fold = 0;
+      for (size_t size : kGoldenSizes) {
+        auto out = DeflateCompress(input.span().subspan(0, size),
+                                   DeflateOptions{level});
+        ASSERT_TRUE(out.ok()) << out.status();
+        Buffer size_bytes;
+        size_bytes.AppendU32(uint32_t(out->size()));
+        fold = Crc32Update(fold, size_bytes.span());
+        fold = Crc32Update(fold, out->span());
+        total += out->size();
+      }
+      EXPECT_EQ(total, kGolden[kind][level - 1][0])
+          << "kind " << kind << " level " << level;
+      EXPECT_EQ(fold, kGolden[kind][level - 1][1])
+          << "kind " << kind << " level " << level << " {" << total << ", 0x"
+          << std::hex << fold << "}";
+    }
+  }
+}
+
 // Property sweep: (generator, size, level) grid round-trips.
 class DeflateRoundTrip
     : public ::testing::TestWithParam<std::tuple<int, size_t, int>> {};
@@ -521,6 +612,14 @@ TEST(LengthSymbolTest, BoundariesMatchRfcTables) {
   EXPECT_EQ(LengthToSymbol(13), 266);
   EXPECT_EQ(LengthToSymbol(257), 284);
   EXPECT_EQ(LengthToSymbol(258), 285);
+  // Every length lies in its code's range [base, next code's base).
+  for (int length = kMinMatch; length <= kMaxMatch; ++length) {
+    int code = LengthToSymbol(length) - 257;
+    EXPECT_GE(length, kLengthBase[code]) << length;
+    if (code < 28) {
+      EXPECT_LT(length, kLengthBase[code + 1]) << length;
+    }
+  }
 }
 
 TEST(DistanceSymbolTest, BoundariesMatchRfcTables) {
@@ -531,6 +630,13 @@ TEST(DistanceSymbolTest, BoundariesMatchRfcTables) {
   EXPECT_EQ(DistanceToSymbol(7), 5);
   EXPECT_EQ(DistanceToSymbol(24577), 29);
   EXPECT_EQ(DistanceToSymbol(32768), 29);
+  for (int distance = 1; distance <= kWindowSize; ++distance) {
+    int code = DistanceToSymbol(distance);
+    EXPECT_GE(distance, kDistBase[code]) << distance;
+    if (code < 29) {
+      EXPECT_LT(distance, kDistBase[code + 1]) << distance;
+    }
+  }
 }
 
 }  // namespace

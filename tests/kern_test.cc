@@ -285,6 +285,120 @@ TEST(RegexTest, ClassWithLeadingBracket) {
   EXPECT_TRUE(Full("[]a]+", "]a]"));  // ']' first in class is a literal
 }
 
+// The Pike VM's answers for the DFA's three entry points, built on its
+// longest match from one start the way the documented semantics say.
+size_t VmCount(const Regex& re, std::string_view text) {
+  size_t count = 0;
+  size_t pos = 0;
+  while (pos <= text.size()) {
+    ptrdiff_t end = re.VmLongestMatch(text, pos);
+    if (end < 0) {
+      ++pos;
+      continue;
+    }
+    ++count;
+    pos = size_t(end) > pos ? size_t(end) : pos + 1;
+  }
+  return count;
+}
+
+bool VmPartial(const Regex& re, std::string_view text) {
+  for (size_t pos = 0; pos <= text.size(); ++pos) {
+    if (re.VmLongestMatch(text, pos) >= 0) return true;
+  }
+  return false;
+}
+
+void ExpectAgreesWithVm(const Regex& re, std::string_view text) {
+  EXPECT_EQ(re.CountMatches(text), VmCount(re, text))
+      << "/" << re.pattern() << "/ on \"" << text << "\"";
+  EXPECT_EQ(re.FullMatch(text),
+            re.VmLongestMatch(text, 0) == ptrdiff_t(text.size()))
+      << "/" << re.pattern() << "/ on \"" << text << "\"";
+  EXPECT_EQ(re.PartialMatch(text), VmPartial(re, text))
+      << "/" << re.pattern() << "/ on \"" << text << "\"";
+}
+
+// Random patterns over {a, b, c} that use every supported construct.
+std::string RandomPattern(Pcg32& rng, int depth);
+
+std::string RandomAtom(Pcg32& rng, int depth) {
+  static const char* const kAtoms[] = {"a",    "b",  "c", ".", "[ab]",
+                                       "[^a]", "^",  "$", "()"};
+  if (depth < 3 && rng.NextBounded(5) == 0) {
+    return "(" + RandomPattern(rng, depth + 1) + ")";
+  }
+  return kAtoms[rng.NextBounded(std::size(kAtoms))];
+}
+
+std::string RandomPattern(Pcg32& rng, int depth) {
+  std::string out;
+  for (int branch = 0; branch == 0 || rng.NextBounded(4) == 0; ++branch) {
+    if (branch > 0) out += "|";
+    for (uint32_t n = rng.NextBounded(4); n > 0; --n) {
+      out += RandomAtom(rng, depth);
+      switch (rng.NextBounded(8)) {
+        case 0:
+          out += "*";
+          break;
+        case 1:
+          out += "+";
+          break;
+        case 2:
+          out += "?";
+          break;
+        case 3: {
+          uint32_t m = rng.NextBounded(3);
+          out += "{" + std::to_string(m) + "," +
+                 std::to_string(m + rng.NextBounded(3)) + "}";
+          break;
+        }
+        default:
+          break;
+      }
+    }
+  }
+  return out;
+}
+
+TEST(RegexTest, DfaAgreesWithVmOnRandomPatterns) {
+  Pcg32 rng(2024);
+  for (int trial = 0; trial < 3000 && !HasFailure(); ++trial) {
+    std::string pattern = RandomPattern(rng, 0);
+    auto re = Regex::Compile(pattern);
+    ASSERT_TRUE(re.ok()) << pattern << ": " << re.status();
+    for (int t = 0; t < 8; ++t) {
+      std::string text(rng.NextBounded(65), ' ');
+      for (char& c : text) c = "abc"[rng.NextBounded(3)];
+      ExpectAgreesWithVm(*re, text);
+    }
+  }
+}
+
+TEST(RegexTest, DfaAgreesWithVmWhenStateCacheOverflows) {
+  // Past its first 17 bytes, a run's DFA state records which of the last
+  // 17 bytes were 'a': up to 2^17 states. The text below meets tens of
+  // thousands of them, several times what the state cache holds, so the
+  // cache is flushed again and again mid-scan. Every segment is random
+  // a/b text ending "a<16 bytes>c", so each one is a match and the count
+  // depends on every state the scan passes through.
+  auto re = Regex::Compile("(a|b)*a(a|b){16}c");
+  ASSERT_TRUE(re.ok());
+  Pcg32 rng(9);
+  std::string text;
+  size_t segments = 0;
+  while (text.size() < 64 * 1024) {
+    size_t start = text.size();
+    size_t len = 17 + rng.NextBounded(200);
+    for (size_t i = 0; i < len; ++i) text += "ab"[rng.NextBounded(2)];
+    text[start + len - 17] = 'a';
+    text += 'c';
+    ++segments;
+  }
+  EXPECT_EQ(re->CountMatches(text), segments);
+  ExpectAgreesWithVm(*re, text);
+}
+
 // --------------------------------------------------------------------------
 // Dedup.
 // --------------------------------------------------------------------------
