@@ -70,7 +70,8 @@ Point Run(double rate, double offload_fraction) {
     se::RemoteStorageClient* rsc = clients[i % kClients].get();
     // Both draws happen here, in schedule order — a handler drawing
     // from the shared rng would key the draw sequence to tie-break
-    // order (the schedule dependence --perturb used to waive).
+    // order (a schedule dependence the bench gate's tie-break runs
+    // report).
     bool offloadable = rng.NextDouble() < offload_fraction;
     uint64_t offset = uint64_t(rng.NextBounded(4000)) * 8192;
     sim.ScheduleAt(at, [rsc, &completed, offloadable, offset, &file] {

@@ -3,9 +3,10 @@
 // storage server" — is fleet economics: savings multiply across the
 // storage tier. An 8-server / 32-client fleet serves Poisson-arrival
 // 8 KB remote reads through the consistent-hash shard router; aggregate
-// host-cores-saved must land within 15% of N x the single-server figure,
-// be bit-deterministic in the seed, and survive a mid-window storage-
-// node failure with re-steered traffic and no lost requests.
+// host-cores-saved must land within 15% of N x the single-server figure
+// and survive a mid-window storage-node failure with re-steered traffic
+// and no lost requests. Bit-determinism in the seed is gated outside the
+// binary, by scripts/check_bench.py.
 
 #include <cmath>
 #include <cstdio>
@@ -35,7 +36,6 @@ struct FleetPoint {
   uint64_t failed = 0;
   uint64_t p50_ns = 0;
   uint64_t p99_ns = 0;
-  sim::SimTime end_time = 0;
   uint64_t routed_to_failed_after_failure = 0;
   uint64_t races = 0;
   std::vector<std::string> objects;  // observed by the checker
@@ -107,7 +107,6 @@ FleetPoint RunFleet(uint32_t n_storage, uint32_t n_clients,
   point.failed = summary.totals.failed;
   point.p50_ns = summary.latency_ns.P50();
   point.p99_ns = summary.latency_ns.P99();
-  point.end_time = sim.now();
   if (fail_index >= 0) {
     netsub::NodeId node = fleet.storage_node_id(uint32_t(fail_index));
     auto it = fleet.router().routed().find(node);
@@ -162,17 +161,6 @@ int main() {
               double(fleet_dds.p50_ns) / 1000,
               double(fleet_dds.p99_ns) / 1000);
 
-  // Determinism: an identical seed must reproduce the run bit-for-bit.
-  FleetPoint replay = RunFleet(kStorage, kClients, 1.0, kSeed);
-  bool deterministic = replay.completed == fleet_dds.completed &&
-                       replay.end_time == fleet_dds.end_time &&
-                       replay.storage_host_cores ==
-                           fleet_dds.storage_host_cores;
-  std::printf("determinism   : %s (replay completed %llu, end %.3f ms)\n",
-              deterministic ? "identical" : "DIVERGED",
-              (unsigned long long)replay.completed,
-              double(replay.end_time) / 1e6);
-
   // Robustness: storage server 3 goes dark (graceful drain) mid-window;
   // the router re-steers its keys to replicas and nothing is lost.
   FleetPoint failure = RunFleet(kStorage, kClients, 1.0, kSeed, 3);
@@ -201,16 +189,11 @@ int main() {
   rt::EmitJsonMetric("fleet_cpu_savings", "failure_lost_requests",
                      double(failure.issued - failure.completed), "requests",
                      kSeed);
-  rt::EmitJsonMetric("fleet_cpu_savings", "deterministic",
-                     deterministic ? 1 : 0, "bool", kSeed);
 
   // Every simulator above ran under the happens-before checker; the
   // bench is only healthy if the whole suite is race-clean.
   uint64_t races = single_base.races + single_dds.races +
-                   fleet_base.races + fleet_dds.races + replay.races +
-                   failure.races;
-  rt::EmitJsonMetric("fleet_cpu_savings", "race_check_enabled", 1, "bool",
-                     kSeed);
+                   fleet_base.races + fleet_dds.races + failure.races;
   rt::EmitJsonMetric("fleet_cpu_savings", "race_check_races",
                      double(races), "races", kSeed);
   // Distinct instrumented objects the checker actually observed across
@@ -218,15 +201,14 @@ int main() {
   // simscope guarantees the static side; a drop here means a code path
   // stopped exercising its annotations.
   std::set<std::string> objects;
-  for (const auto* p : {&single_base, &single_dds, &fleet_base, &fleet_dds,
-                        &replay, &failure}) {
+  for (const auto* p :
+       {&single_base, &single_dds, &fleet_base, &fleet_dds, &failure}) {
     objects.insert(p->objects.begin(), p->objects.end());
   }
   rt::EmitJsonMetric("fleet_cpu_savings", "race_check_objects",
                      double(objects.size()), "objects", kSeed);
 
-  bool ok = std::fabs(ratio - 1.0) <= 0.15 && deterministic && no_loss &&
-            races == 0;
+  bool ok = std::fabs(ratio - 1.0) <= 0.15 && no_loss && races == 0;
   rt::EmitWallClockMetrics("fleet_cpu_savings", wall_timer,
                            sim::Simulator::TotalEventsExecuted(), kSeed);
   return ok ? 0 : 1;

@@ -2,56 +2,49 @@
 """Benchmark regression gate.
 
 Runs the repo's bench binaries and compares their emitted metrics against
-the committed baseline (bench/BASELINE.json):
+the committed baseline (bench/BASELINE.json).
+
+A sim bench is any binary under <build-dir>/bench other than
+micro_kernels. Each one runs three times, concurrently on os.cpu_count()
+workers: under the default FIFO tie-break, and with
+DPDPU_SIM_TIEBREAK=lifo and =shuffle:7. Then:
 
   * Simulated metrics (the `{"bench":...}` JSON lines with sim-domain
-    units) are products of the deterministic simulator: they must match
-    the baseline BIT-EXACTLY. Any drift means a behavior change, not a
-    perf change, and fails the check.
+    units) of the FIFO run are products of the deterministic simulator:
+    they must match the baseline BIT-EXACTLY (DRIFT). Any drift means a
+    behavior change, not a perf change.
   * Wall-clock metrics ("seconds", "events_per_sec" lines and
     google-benchmark bytes/items-per-second counters) are jitter-prone,
     especially on shared CI runners, so they get a generous tolerance:
     throughputs may not drop below baseline/TOL, runtimes may not exceed
-    baseline*TOL (default TOL=3).
+    baseline*TOL (default TOL=3) (SLOWER).
+  * The lifo and shuffle:7 simulated lines must equal the FIFO ones
+    (TIE-ORDER). The tie-break only reorders events sharing a timestamp,
+    orderings the model claims to be insensitive to, so any difference
+    is a schedule dependence. The report shows the first differing line
+    pair and the run's `simrace:` stderr lines.
+  * A baselined metric no bench emits fails (MISSING), and so does an
+    emitted metric the baseline does not list (NEW), so every bench
+    stays gated. A bench that exits non-zero under any policy fails
+    (EXIT).
 
-A third mode, --self-check, proves the determinism contract without
-consulting the baseline at all: every sim bench binary is run twice and
-the simulated metric lines of the two runs are diffed byte-for-byte.
-A bench that disagrees with itself has nondeterminism the simulator is
-supposed to have squeezed out (unordered iteration feeding metrics,
-wall-clock leakage, uninitialized state), and no baseline can be trusted
-until it is fixed.
+micro_kernels runs after the matrix, alone, so its throughput is not
+measured under contention. --update rewrites the baseline from the FIFO
+runs plus micro_kernels; it refuses when a bench failed or a perturbed
+run diverged. scripts/test_check_bench.py exercises every failure mode.
 
-A fourth mode, --perturb, is simrace's schedule-perturbation oracle: every
-sim bench is rerun under perturbed tie-break policies
-(DPDPU_SIM_TIEBREAK=lifo and shuffle:7) and the simulated metric lines are
-diffed against the default FIFO run. The tie-break only reorders events
-sharing a timestamp — orderings the model claims to be insensitive to — so
-any metric drift is a latent schedule dependence even when the run-twice
-self-check passes. Benches with a *known, reasoned* tie-order sensitivity
-are listed in PERTURB_SKIPS; a skip whose bench stops diverging is itself
-an error (stale waiver), mirroring the simlint allowlist policy.
-
---perturb-selftest proves the oracle end to end: the intentionally
-order-dependent build/tests/simrace_oracle binary must diverge between
-fifo and lifo AND report the underlying race on stderr.
-
-A fifth mode, --explore, goes beyond the three sampled schedules: it
-drives the simex model checker (build/tools/simex/simex) over its
-scenario targets, which enumerate same-timestamp orderings (DPOR-pruned
-via simrace's causal DAG) and fault-injection choice points (node
-fail/recover timing, frame-drop placement). Clean targets must explore
-clean; the seeded pagecache-race target must FAIL, proving the explorer
-still finds real bugs. Reports schedules explored vs the naive
-enumeration pruned away. --explore-budget-scale N deepens the walk for
-the nightly run.
+--explore goes beyond the three sampled schedules: it drives the simex
+model checker (build/tools/simex/simex) over its scenario targets, which
+enumerate same-timestamp orderings (DPOR-pruned via simrace's causal
+DAG) and fault-injection choice points (node fail/recover timing,
+frame-drop placement). Clean targets must explore clean; the seeded
+pagecache-race target must FAIL, proving the explorer still finds real
+bugs. Reports schedules explored vs the naive enumeration pruned away.
+--explore-budget-scale N deepens the walk for the nightly run.
 
 Usage:
   python3 scripts/check_bench.py --build-dir build              # check
   python3 scripts/check_bench.py --build-dir build --update     # re-baseline
-  python3 scripts/check_bench.py --build-dir build --self-check # run-twice
-  python3 scripts/check_bench.py --build-dir build --perturb    # tie-break
-  python3 scripts/check_bench.py --build-dir build --perturb-selftest
   python3 scripts/check_bench.py --build-dir build --explore    # simex
 """
 
@@ -60,6 +53,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_BASELINE = os.path.join(REPO_ROOT, "bench", "BASELINE.json")
@@ -75,25 +69,9 @@ MICRO_FILTER = ("BM_Crc32|BM_DeflateCompress|BM_DeflateDecompress|"
                 "BM_HuffmanDecode|BM_RegexCount|BM_SimulatorEvents|"
                 "BM_PeriodicTaskTicks")
 
-
-# JSON-metric bench binaries gated against the baseline.
-FLEET_BENCHES = ("fleet_cpu_savings", "fleet_consistency")
-
-
-def run_fleet(build_dir):
-    """Runs the fleet benches; returns {key: (value, unit)}."""
-    metrics = {}
-    for name in FLEET_BENCHES:
-        exe = os.path.join(build_dir, "bench", name)
-        out = subprocess.run([exe], capture_output=True, text=True,
-                             check=True)
-        for line in out.stdout.splitlines():
-            if not line.startswith("{"):
-                continue
-            rec = json.loads(line)
-            key = f"{rec['bench']}/{rec['metric']}"
-            metrics[key] = (rec["value"], rec["unit"])
-    return metrics
+# The run matrix's tie-break policies. The first is the default order and
+# the one checked against the baseline; the others must reproduce it.
+TIEBREAKS = ("fifo", "lifo", "shuffle:7")
 
 
 def run_micro(build_dir):
@@ -115,91 +93,31 @@ def run_micro(build_dir):
     return metrics
 
 
-def simulated_metric_lines(stdout):
-    """Extracts the JSON metric lines whose unit is sim-domain.
-
-    Wall-clock lines ("seconds", "events_per_sec") legitimately differ
-    between runs and are excluded; everything else must be identical.
-    """
-    lines = []
+def metric_records(stdout):
+    """The JSON metric lines of a bench's stdout, as (line, record)."""
+    records = []
     for line in stdout.splitlines():
         if not line.startswith("{"):
             continue
         try:
-            rec = json.loads(line)
+            records.append((line, json.loads(line)))
         except json.JSONDecodeError:
             continue
-        if classify(rec.get("unit", "")) == "simulated":
-            lines.append(line)
-    return lines
+    return records
 
 
-def self_check(build_dir):
-    """Runs every sim bench twice; simulated output must be identical."""
-    bench_dir = os.path.join(build_dir, "bench")
-    benches = sim_bench_binaries(build_dir)
-    if not benches:
-        print(f"self-check: no bench binaries under {bench_dir}")
-        return 1
+def simulated_lines(records):
+    """The lines of `records` whose unit is sim-domain.
 
-    failures = 0
-    total_lines = 0
-    for name in benches:
-        exe = os.path.join(bench_dir, name)
-        runs = []
-        for _ in range(2):
-            out = subprocess.run([exe], capture_output=True, text=True,
-                                 check=True)
-            runs.append(simulated_metric_lines(out.stdout))
-        first, second = runs
-        if first == second:
-            total_lines += len(first)
-            print(f"self-check: {name}: OK "
-                  f"({len(first)} simulated metric lines identical)")
-            continue
-        failures += 1
-        print(f"self-check: {name}: NONDETERMINISTIC")
-        for a, b in zip(first, second):
-            if a != b:
-                print(f"  run1: {a}")
-                print(f"  run2: {b}")
-        if len(first) != len(second):
-            print(f"  run1 emitted {len(first)} simulated lines, "
-                  f"run2 emitted {len(second)}")
-
-    if failures:
-        print(f"\nself-check: {failures}/{len(benches)} benches "
-              "disagree with themselves")
-        return 1
-    print(f"self-check: OK ({len(benches)} benches run twice, "
-          f"{total_lines} simulated metric lines bit-identical)")
-    return 0
-
-
-# --------------------------------------------------------------------------
-# Perturbation oracle.
-# --------------------------------------------------------------------------
-
-# Benches with a known, understood sensitivity to same-timestamp tie
-# order. Every entry needs a reason (these are waivers, not exemptions);
-# --perturb fails on a listed bench that stops diverging, so the list can
-# only shrink stale. Current root cause for all of them: the DDS-path
-# workload generators draw sizes/keys from one shared Pcg32 stream inside
-# equal-timestamp request handlers, so permuting the ties permutes the
-# draw order (not a state race — simrace runs them clean — but the
-# workload itself is schedule-keyed). ROADMAP tracks moving those draws
-# to per-request counter-keyed streams so this list can be emptied.
-# Burned down to empty: every request stream now derives a counter-keyed
-# RNG (seed ^ client-id ^ request-index), so draws no longer depend on
-# same-timestamp tie order. Keep the stale-skip policy: any new entry
-# must name the bench, the reason, and still diverge when checked.
-PERTURB_SKIPS = {}
-
-PERTURB_POLICIES = ("lifo", "shuffle:7")
+    Wall-clock lines ("seconds", "events_per_sec") legitimately differ
+    between runs and are excluded; everything else must be identical.
+    """
+    return [line for line, rec in records
+            if classify(rec.get("unit", "")) == "simulated"]
 
 
 def sim_bench_binaries(build_dir):
-    """The same discovery set --self-check sweeps (sim benches only)."""
+    """Every executable under <build_dir>/bench except micro_kernels."""
     bench_dir = os.path.join(build_dir, "bench")
     return sorted(
         name for name in os.listdir(bench_dir)
@@ -209,18 +127,9 @@ def sim_bench_binaries(build_dir):
 
 
 def run_with_tiebreak(exe, policy):
-    """Runs `exe` with DPDPU_SIM_TIEBREAK=policy (unset for the base run).
-
-    Returns (simulated metric lines, stderr). check=True: a bench that
-    crashes under a perturbed-but-legal schedule is itself a finding.
-    """
-    env = dict(os.environ)
-    env.pop("DPDPU_SIM_TIEBREAK", None)
-    if policy is not None:
-        env["DPDPU_SIM_TIEBREAK"] = policy
-    out = subprocess.run([exe], capture_output=True, text=True, check=True,
-                         env=env)
-    return simulated_metric_lines(out.stdout), out.stderr
+    """Runs `exe` under DPDPU_SIM_TIEBREAK=policy; returns the process."""
+    env = dict(os.environ, DPDPU_SIM_TIEBREAK=policy)
+    return subprocess.run([exe], capture_output=True, text=True, env=env)
 
 
 def first_divergence(base, perturbed):
@@ -234,81 +143,55 @@ def first_divergence(base, perturbed):
     return None
 
 
-def perturb(build_dir):
+def run_matrix(build_dir):
+    """Runs every sim bench under every TIEBREAKS policy, concurrently.
+
+    Returns ({key: (value, unit)} of the fifo runs, [failure]): a bench
+    that exits non-zero, and a perturbed run whose simulated lines differ
+    from the fifo run's.
+    """
     benches = sim_bench_binaries(build_dir)
-    if not benches:
-        print(f"perturb: no bench binaries under "
-              f"{os.path.join(build_dir, 'bench')}")
-        return 1
+    jobs = [(name, policy) for name in benches for policy in TIEBREAKS]
+    workers = os.cpu_count() or 1
+    print(f"run matrix: {len(benches)} sim benches x "
+          f"{'/'.join(TIEBREAKS)} on {workers} workers", flush=True)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        procs = pool.map(
+            lambda job: run_with_tiebreak(
+                os.path.join(build_dir, "bench", job[0]), job[1]),
+            jobs)
+        runs = dict(zip(jobs, procs))
 
-    failures = 0
-    skipped = 0
+    metrics = {}
+    failures = []
     for name in benches:
-        exe = os.path.join(build_dir, "bench", name)
-        base, _ = run_with_tiebreak(exe, None)
-        diverged = {}
-        race_lines = []
-        for policy in PERTURB_POLICIES:
-            lines, err = run_with_tiebreak(exe, policy)
-            delta = first_divergence(base, lines)
-            if delta:
-                diverged[policy] = delta
-            race_lines += [l for l in err.splitlines() if "simrace:" in l]
-        if name in PERTURB_SKIPS:
-            if diverged:
-                skipped += 1
-                print(f"perturb: {name}: SKIP (known tie-order sensitive: "
-                      f"{PERTURB_SKIPS[name]})")
-            else:
-                failures += 1
-                print(f"perturb: {name}: STALE SKIP — no longer diverges "
-                      "under any perturbed policy; remove it from "
-                      "PERTURB_SKIPS")
-            continue
-        if not diverged:
-            print(f"perturb: {name}: OK ({len(base)} simulated metric "
-                  f"lines identical under {', '.join(PERTURB_POLICIES)})")
-            continue
-        failures += 1
-        print(f"perturb: {name}: TIE-ORDER SENSITIVE")
-        for policy, (a, b) in sorted(diverged.items()):
-            print(f"  [{policy}] base:      {a}")
-            print(f"  [{policy}] perturbed: {b}")
-        for line in race_lines[:8]:
-            print(f"  {line}")
-
-    if failures:
-        print(f"\nperturb: {failures}/{len(benches)} benches depend on "
-              "same-timestamp tie order")
-        return 1
-    print(f"perturb: OK ({len(benches)} benches, {skipped} reasoned skips)")
-    return 0
-
-
-def perturb_selftest(build_dir):
-    """The seeded order-dependent oracle must trip both halves of simrace."""
-    exe = os.path.join(build_dir, "tests", "simrace_oracle")
-    if not os.path.exists(exe):
-        print(f"perturb-selftest: missing {exe} (build the tests target)")
-        return 1
-    fifo, fifo_err = run_with_tiebreak(exe, "fifo")
-    lifo, lifo_err = run_with_tiebreak(exe, "lifo")
-    problems = []
-    if not first_divergence(fifo, lifo):
-        problems.append("oracle metric did not diverge between fifo and "
-                        "lifo tie-break (perturbation oracle is blind)")
-    if "simrace: RACE" not in fifo_err + lifo_err:
-        problems.append("oracle race was not reported on stderr "
-                        "(happens-before detector is blind)")
-    if "provenance:" not in fifo_err + lifo_err:
-        problems.append("race report lacks provenance chains")
-    for p in problems:
-        print(f"perturb-selftest: FAIL: {p}")
-    if problems:
-        return 1
-    print("perturb-selftest: OK (oracle diverges under lifo and the "
-          "detector reports the race with provenance)")
-    return 0
+        for policy in TIEBREAKS:
+            proc = runs[name, policy]
+            if proc.returncode != 0:
+                failures.append("\n".join(
+                    [f"EXIT     {name} [{policy}]: exit status "
+                     f"{proc.returncode}"] +
+                    [f"    {line}" for line in proc.stderr.splitlines()[-5:]]))
+        base_records = metric_records(runs[name, TIEBREAKS[0]].stdout)
+        for _, rec in base_records:
+            metrics[f"{rec['bench']}/{rec['metric']}"] = (rec["value"],
+                                                         rec["unit"])
+        base = simulated_lines(base_records)
+        for policy in TIEBREAKS[1:]:
+            proc = runs[name, policy]
+            delta = first_divergence(
+                base, simulated_lines(metric_records(proc.stdout)))
+            if delta is None:
+                continue
+            race_lines = [line for line in proc.stderr.splitlines()
+                          if "simrace:" in line]
+            failures.append("\n".join(
+                [f"TIE-ORDER {name} [{policy}]: simulated lines differ "
+                 f"from {TIEBREAKS[0]}",
+                 f"    {TIEBREAKS[0]}: {delta[0]}",
+                 f"    {policy}: {delta[1]}"] +
+                [f"    {line}" for line in race_lines[:8]]))
+    return metrics, failures
 
 
 # --------------------------------------------------------------------------
@@ -317,8 +200,9 @@ def perturb_selftest(build_dir):
 
 # (target, smoke budget, expect_clean). pagecache-race is the seeded-bug
 # self-test: the explorer must fail it, proving the exploration gate can
-# still see a real schedule bug (mirrors --perturb-selftest). The
-# cluster-* scenarios gate the consistency layer's failover flows (see
+# still see a real schedule bug (scripts/test_check_bench.py does the
+# same for the run matrix with simrace_oracle). The cluster-* scenarios
+# gate the consistency layer's failover flows (see
 # src/cluster/simex_scenarios.cc); each found at least one real bug
 # pre-fix, so they must stay clean. Budgets cover the full fault-branch
 # fan-out of each scenario at smoke scale; nightly (16x) re-covers them
@@ -402,16 +286,6 @@ def main():
                         help="wall-clock tolerance factor (default 3x)")
     parser.add_argument("--update", action="store_true",
                         help="rewrite the baseline from this run")
-    parser.add_argument("--self-check", action="store_true",
-                        help="run each sim bench twice and require "
-                             "bit-identical simulated metrics")
-    parser.add_argument("--perturb", action="store_true",
-                        help="rerun each sim bench under perturbed "
-                             "tie-break policies and require identical "
-                             "simulated metrics")
-    parser.add_argument("--perturb-selftest", action="store_true",
-                        help="prove the perturbation oracle catches the "
-                             "seeded order-dependent handler")
     parser.add_argument("--explore", action="store_true",
                         help="run the simex model checker over its "
                              "scenario targets (smoke budgets)")
@@ -420,17 +294,16 @@ def main():
                              "deep runs)")
     args = parser.parse_args()
 
-    if args.self_check:
-        return self_check(args.build_dir)
-    if args.perturb:
-        return perturb(args.build_dir)
-    if args.perturb_selftest:
-        return perturb_selftest(args.build_dir)
     if args.explore:
         return explore(args.build_dir, args.explore_budget_scale)
 
-    current = {}
-    current.update(run_fleet(args.build_dir))
+    current, failures = run_matrix(args.build_dir)
+    if args.update and failures:
+        print(f"\ncheck_bench: not updating the baseline, "
+              f"{len(failures)} run matrix failure(s):")
+        for failure in failures:
+            print(" ", failure)
+        return 1
     current.update(run_micro(args.build_dir))
 
     if args.update:
@@ -445,7 +318,6 @@ def main():
     with open(args.baseline) as f:
         baseline = json.load(f)
 
-    failures = []
     checked = 0
     for key, entry in sorted(baseline.items()):
         base_value, unit = entry["value"], entry["unit"]
@@ -474,23 +346,10 @@ def main():
                 failures.append(
                     f"SLOWER   {key}: {value:.3e} < baseline "
                     f"{base_value:.3e} / {args.tolerance:.1f}")
-
-    # A bench that runs under the race checker must also report the
-    # checker's dynamic footprint: race_check_objects is how the
-    # annotation sweep stays observable (simscope gates the static side,
-    # this gates the dynamic one).
-    for key, (value, unit) in sorted(current.items()):
-        if not key.endswith("/race_check_enabled") or value != 1:
-            continue
-        bench = key.rsplit("/", 1)[0]
-        if f"{bench}/race_check_objects" not in current:
-            failures.append(
-                f"MISSING  {bench}/race_check_objects: race-checked "
-                "bench must report its observed-object count")
-
-    new_keys = sorted(set(current) - set(baseline))
-    for key in new_keys:
-        print(f"note: unbaselined metric {key} (run --update to adopt)")
+    # Every emitted metric must be gated, including a new bench's.
+    for key in sorted(set(current) - set(baseline)):
+        failures.append(f"NEW      {key}: not in the baseline "
+                        "(run --update to adopt)")
 
     if failures:
         print(f"\ncheck_bench: {len(failures)} failure(s) "
@@ -498,8 +357,10 @@ def main():
         for failure in failures:
             print(" ", failure)
         return 1
-    print(f"check_bench: OK ({checked} metrics checked, "
-          f"{len(new_keys)} unbaselined)")
+    simulated = sum(1 for _, unit in current.values()
+                    if classify(unit) == "simulated")
+    print(f"check_bench: OK ({checked} metrics checked; {simulated} "
+          f"simulated lines identical under {'/'.join(TIEBREAKS)})")
     return 0
 
 

@@ -2,10 +2,12 @@
 """simscope dynamic cross-check driver.
 
 Runs every simulator-driven test binary in the build tree with the race
-checker on and DPDPU_SIM_RACE_COVERAGE pointed at a shared file, so each
-RaceChecker appends the object names it actually observed; then invokes
-`simscope --xcheck` to diff the statically reachable annotations against
-that dynamic observation set. A statically reachable annotation that is
+checker on, concurrently on os.cpu_count() workers. Each binary gets its
+own DPDPU_SIM_RACE_COVERAGE file, to which every RaceChecker appends the
+object names it actually observed (concurrent appends to one shared file
+could interleave partial lines). The per-binary dumps are concatenated
+and `simscope --xcheck` diffs the statically reachable annotations
+against that dynamic observation set. A statically reachable annotation that is
 never observed is a dead annotation or an untested path (rule S2) — the
 static analyzer cannot tell which, but either one means simrace is not
 exercising what simscope claims is covered.
@@ -20,6 +22,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 
 # Simulator-driven gtest binaries (tests/CMakeLists.txt targets). The
 # simex explorer binaries are excluded: they run deliberately racy
@@ -70,27 +73,19 @@ def main():
               f"{', '.join(missing)} (build first)", file=sys.stderr)
         return 2
 
-    if args.keep_coverage:
-        cov_path = os.path.abspath(args.keep_coverage)
-        open(cov_path, "w").close()  # truncate: one run, one dump
-        cleanup = False
-    else:
-        fd, cov_path = tempfile.mkstemp(prefix="simscope_cov_",
-                                        suffix=".txt")
-        os.close(fd)
-        cleanup = True
+    env = dict(os.environ, DPDPU_SIM_RACECHECK="1")
+    with tempfile.TemporaryDirectory(prefix="simscope_cov_") as cov_dir:
+        def run(test):
+            return subprocess.run(
+                [os.path.join(tests_dir, test)],
+                env=dict(env, DPDPU_SIM_RACE_COVERAGE=os.path.join(
+                    cov_dir, f"{test}.txt")),
+                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
 
-    env = dict(os.environ)
-    env["DPDPU_SIM_RACECHECK"] = "1"
-    env["DPDPU_SIM_RACE_COVERAGE"] = cov_path
-
-    failed = []
-    try:
-        for t in TEST_BINARIES:
-            binary = os.path.join(tests_dir, t)
-            proc = subprocess.run([binary], env=env,
-                                  stdout=subprocess.DEVNULL,
-                                  stderr=subprocess.PIPE)
+        with ThreadPoolExecutor(max_workers=os.cpu_count()) as pool:
+            procs = list(pool.map(run, TEST_BINARIES))
+        failed = []
+        for t, proc in zip(TEST_BINARIES, procs):
             if proc.returncode != 0:
                 failed.append(t)
                 sys.stderr.buffer.write(proc.stderr)
@@ -101,15 +96,22 @@ def main():
                   file=sys.stderr)
             return 1
 
+        cov_path = (os.path.abspath(args.keep_coverage)
+                    if args.keep_coverage
+                    else os.path.join(cov_dir, "coverage.txt"))
+        with open(cov_path, "w") as merged:
+            for t in TEST_BINARIES:
+                dump = os.path.join(cov_dir, f"{t}.txt")
+                if os.path.exists(dump):
+                    with open(dump) as f:
+                        merged.write(f.read())
+
         simscope = os.path.join(args.repo_root, "tools", "simscope",
                                 "simscope.py")
         return subprocess.run(
             [sys.executable, simscope, "--xcheck",
              "--coverage", cov_path],
             cwd=args.repo_root).returncode
-    finally:
-        if cleanup:
-            os.unlink(cov_path)
 
 
 if __name__ == "__main__":

@@ -89,9 +89,9 @@ void FleetClient::IssueOne(std::function<void()> done) {
   // from Pcg32(mix(seed, c, k)), so its key/offload/read-write split is
   // a pure function of request identity. A shared cursor-style RNG here
   // would let same-timestamp tie order permute the draw sequence across
-  // in-flight completions — the schedule dependence PERTURB_SKIPS used
-  // to waive. Draw order within a request is still part of the
-  // contract: key, then offload flag, then the read/write split.
+  // in-flight completions — a schedule dependence the bench gate's
+  // tie-break runs report. Draw order within a request is still part of
+  // the contract: key, then offload flag, then the read/write split.
   Pcg32 rng(sim::SplitMix64(options_.seed ^
                             (uint64_t(client_index_) << 32) ^
                             issue_counter_++));

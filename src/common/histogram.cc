@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <sstream>
 
 namespace dpdpu {
 
@@ -69,13 +68,6 @@ uint64_t Histogram::Percentile(double p) const {
     }
   }
   return max_;
-}
-
-std::string Histogram::Summary() const {
-  std::ostringstream os;
-  os << "count=" << count_ << " mean=" << Mean() << " p50=" << P50()
-     << " p95=" << P95() << " p99=" << P99() << " max=" << max_;
-  return os.str();
 }
 
 }  // namespace dpdpu

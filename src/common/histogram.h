@@ -5,7 +5,6 @@
 #define DPDPU_COMMON_HISTOGRAM_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace dpdpu {
@@ -31,11 +30,7 @@ class Histogram {
   uint64_t Percentile(double p) const;
 
   uint64_t P50() const { return Percentile(50); }
-  uint64_t P95() const { return Percentile(95); }
   uint64_t P99() const { return Percentile(99); }
-
-  /// "count=N mean=M p50=... p99=... max=..."
-  std::string Summary() const;
 
  private:
   static constexpr int kNumBuckets = 1024;

@@ -26,18 +26,6 @@ FileService::~FileService() {
   server_->dpu_memory().Free(cache_reservation_);
 }
 
-void FileService::ResizeCache(uint64_t bytes) {
-  if (bytes > cache_reservation_) {
-    uint64_t extra = bytes - cache_reservation_;
-    if (!server_->dpu_memory().Allocate(extra).ok()) return;
-    cache_reservation_ = bytes;
-  } else {
-    server_->dpu_memory().Free(cache_reservation_ - bytes);
-    cache_reservation_ = bytes;
-  }
-  cache_->Resize(bytes);
-}
-
 void FileService::CreateAsync(
     const std::string& name,
     std::function<void(Result<fssub::FileId>)> cb) {

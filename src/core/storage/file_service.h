@@ -73,7 +73,6 @@ class FileService {
   const fssub::PageCacheStats& cache_stats() const {
     return cache_->stats();
   }
-  void ResizeCache(uint64_t bytes);
 
  private:
   bool TryServeFromCache(fssub::FileId file, uint64_t offset,

@@ -61,12 +61,6 @@ class CpuCluster {
     resource_.Submit(t, std::move(done));
   }
 
-  /// Busy-core equivalent over [0, elapsed]: the paper's "CPU cores
-  /// consumed" metric (Figures 2 and 3).
-  double CoresConsumed(sim::SimTime elapsed) const {
-    return resource_.BusyServerEquivalent(elapsed);
-  }
-
   sim::Resource& resource() { return resource_; }
   const sim::Resource& resource() const { return resource_; }
 

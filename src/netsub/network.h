@@ -52,9 +52,6 @@ class Network {
   /// Attaches a node. `nic` must outlive the Network.
   void Attach(NodeId node, hw::NicPort* nic, RxHandler handler);
 
-  /// True when `node` is attached.
-  bool Has(NodeId node) const { return endpoints_.count(node) > 0; }
-
   /// Sends a packet; silently drops on unknown destination or loss.
   void Send(Packet packet);
 

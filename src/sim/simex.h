@@ -1,7 +1,7 @@
 // simex: bounded stateless model checking for the simulator.
 //
-// The perturbation oracle (scripts/check_bench.py --perturb) samples
-// exactly three tie-break schedules; simex explores the space
+// The bench gate (scripts/check_bench.py) samples exactly three
+// tie-break schedules per bench; simex explores the space
 // systematically. A scenario is a function that builds a world inside a
 // fresh Simulator, runs it, and returns its invariant verdict plus the
 // deterministic metric lines it produced. The explorer drives that

@@ -32,10 +32,6 @@ constexpr SimTime kMicrosecond = 1000;
 constexpr SimTime kMillisecond = 1000 * 1000;
 constexpr SimTime kSecond = 1000ull * 1000 * 1000;
 
-/// Converts seconds (double) to SimTime, rounding to nearest nanosecond.
-inline SimTime FromSeconds(double s) {
-  return static_cast<SimTime>(s * double(kSecond) + 0.5);
-}
 inline double ToSeconds(SimTime t) { return double(t) / double(kSecond); }
 
 /// How the scheduler orders events that share a timestamp. Every policy

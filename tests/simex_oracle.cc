@@ -1,12 +1,13 @@
 // simex oracle: planted schedule bugs that the explorer must find within
-// the smoke budget. Bugs A and B are ones the sampled perturbation
-// policies (fifo, lifo, shuffle:7 — exactly what check_bench --perturb
-// runs) provably miss. Standalone so CI can gate on it without gtest.
+// the smoke budget. Bugs A and B are ones the sampled tie-break
+// policies (fifo, lifo, shuffle:7 — exactly what scripts/check_bench.py
+// runs every sim bench under) provably miss. Standalone so CI can gate
+// on it without gtest.
 //
 // Bug A (tie order): three same-timestamp handlers race on one shared
 // slot; the invariant breaks only when they run in order 1,2,0. The
 // sampled policies execute permutations 0,1,2 (fifo), 2,1,0 (lifo) and
-// 2,0,1 (shuffle:7) — none is the buggy one — so --perturb stays green
+// 2,0,1 (shuffle:7) — none is the buggy one — so the bench gate stays green
 // while one of the six legal schedules loses an acked write. DPOR
 // reaches 1,2,0 in two race reversals from the reference.
 //

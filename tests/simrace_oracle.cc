@@ -6,9 +6,10 @@
 //
 //  * the happens-before detector reports the write/write race (with
 //    provenance chains) on stderr, and
-//  * the perturbation oracle (`scripts/check_bench.py --perturb-selftest`)
-//    sees the emitted metric DIFFER between DPDPU_SIM_TIEBREAK=fifo and
-//    =lifo — the divergence the detector predicts.
+//  * the bench gate (`scripts/check_bench.py`, driven on a copy of this
+//    binary by scripts/test_check_bench.py) sees the emitted metric
+//    DIFFER between DPDPU_SIM_TIEBREAK=fifo and =lifo — the divergence
+//    the detector predicts.
 //
 // Deliberately NOT installed under build/bench: every binary there must
 // be schedule-insensitive, which this one exists to violate.
@@ -22,8 +23,8 @@ int main() {
   using namespace dpdpu::sim;  // NOLINT(google-build-using-namespace)
   Simulator sim;
   // Explicit non-fatal checker: the race must be reported, not abort the
-  // process (the oracle's exit code should reflect the metric, and the
-  // --perturb-selftest driver asserts on the stderr report instead).
+  // process (the oracle's exit code should reflect the metric, and
+  // scripts/test_check_bench.py asserts on the stderr report instead).
   RaceChecker& rc = sim.EnableRaceCheck();
   Racy<int> winner("oracle.winner");
   sim.Schedule(1000, [&] { winner.write() = 1; });

@@ -44,8 +44,8 @@ Rules:
                              order, so a generator shared across request
                              streams keys its draw *sequence* to
                              same-timestamp tie-breaking — exactly the
-                             drift --perturb and simex then report as a
-                             schedule dependence. Derive a per-request
+                             drift the bench gate and simex then report
+                             as a schedule dependence. Derive a per-request
                              generator instead:
                              Pcg32(SplitMix64(seed ^ stream ^ counter)).
 
@@ -385,7 +385,8 @@ def check_r6(path, stripped, report):
 # R7: a shared Pcg32 drawn inside a by-reference lambda capture. The draw
 # *sequence* of a generator shared across callbacks is keyed to the order
 # those callbacks fire — i.e. to same-timestamp tie-breaking — which is
-# exactly the drift --perturb and simex report as a schedule dependence.
+# exactly the drift the bench gate's tie-break runs and simex report as a
+# schedule dependence.
 # Copy captures are fine (each closure owns an independent stream), and so
 # is a generator declared inside the lambda (the per-request
 # Pcg32(SplitMix64(seed ^ stream ^ counter)) pattern).
