@@ -29,7 +29,7 @@ hw::ServerSpec GpuServerSpec() {
   return spec;
 }
 
-double RunDpuAsics(size_t bytes, int jobs) {
+double RunDpuAsics(size_t bytes, int jobs, rt::KernelOutputCrc* crc) {
   sim::Simulator sim;
   hw::Server server(&sim, GpuServerSpec());
   ce::ComputeEngine engine(&server, ce::KernelRegistry::Builtin());
@@ -38,18 +38,21 @@ double RunDpuAsics(size_t bytes, int jobs) {
     auto first = engine.Invoke(ce::kKernelCompress, text, {},
                                {ce::ExecTarget::kDpuAsic});
     if (!first.ok()) continue;
-    (*first)->OnComplete([&engine](ce::WorkItem& w) {
+    crc->Watch(*first);
+    (*first)->OnComplete([&engine, crc](ce::WorkItem& w) {
       if (!w.result().ok()) return;
       auto second = engine.Invoke(ce::kKernelEncrypt, w.result().value(),
                                   {{"key", "k"}}, {ce::ExecTarget::kDpuAsic});
       DPDPU_CHECK(second.ok());  // a dropped stage would skew the figure
+      crc->Watch(*second);
     });
   }
   sim.Run();
   return double(sim.now()) / 1e6;
 }
 
-double RunGpu(size_t bytes, int jobs, bool fused) {
+double RunGpu(size_t bytes, int jobs, bool fused,
+              rt::KernelOutputCrc* crc) {
   sim::Simulator sim;
   hw::Server server(&sim, GpuServerSpec());
   ce::ComputeEngine engine(&server, ce::KernelRegistry::Builtin());
@@ -60,16 +63,19 @@ double RunGpu(size_t bytes, int jobs, bool fused) {
           {{ce::kKernelCompress, {}}, {ce::kKernelEncrypt, {{"key", "k"}}}},
           text, {ce::ExecTarget::kPcieAccel});
       DPDPU_CHECK(item.ok());
+      crc->Watch(*item);
     } else {
       auto first = engine.Invoke(ce::kKernelCompress, text, {},
                                  {ce::ExecTarget::kPcieAccel});
       if (!first.ok()) continue;
-      (*first)->OnComplete([&engine](ce::WorkItem& w) {
+      crc->Watch(*first);
+      (*first)->OnComplete([&engine, crc](ce::WorkItem& w) {
         if (!w.result().ok()) return;
         auto second =
             engine.Invoke(ce::kKernelEncrypt, w.result().value(),
                           {{"key", "k"}}, {ce::ExecTarget::kPcieAccel});
         DPDPU_CHECK(second.ok());
+        crc->Watch(*second);
       });
     }
   }
@@ -88,16 +94,18 @@ int main() {
               "gpu_split", "gpu_fused", "fusion_gain");
 
   constexpr size_t kBytes = 1 << 20;
+  rt::KernelOutputCrc crc;
   for (int jobs : {1, 8, 32}) {
-    double asics = RunDpuAsics(kBytes, jobs);
-    double split = RunGpu(kBytes, jobs, /*fused=*/false);
-    double fused = RunGpu(kBytes, jobs, /*fused=*/true);
+    double asics = RunDpuAsics(kBytes, jobs, &crc);
+    double split = RunGpu(kBytes, jobs, /*fused=*/false, &crc);
+    double fused = RunGpu(kBytes, jobs, /*fused=*/true, &crc);
     std::printf("%6d %12.2f %12.2f %12.2f %13.2fx\n", jobs, asics, split,
                 fused, split / fused);
     rt::EmitJsonMetric("abl_fusion",
                        "fusion_gain_" + std::to_string(jobs) + "jobs",
                        split / fused, "x");
   }
+  crc.Emit("abl_fusion");
   std::printf("\nshape: fusing the chain removes one PCIe round trip and "
               "one kernel launch per job; the gain is largest for short "
               "chains where data movement dominates.\n");

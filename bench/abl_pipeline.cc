@@ -22,7 +22,7 @@ namespace {
 constexpr uint32_t kPageBytes = 128 * 1024;
 
 struct Env {
-  Env() : net(&sim) {
+  explicit Env(rt::KernelOutputCrc* crc) : net(&sim), crc(crc) {
     rt::PlatformOptions so, co;
     so.node = 1;
     so.fs_device_blocks = 32 * 1024;
@@ -67,6 +67,7 @@ struct Env {
         done(item.status());
         return;
       }
+      crc->Watch(*item);
       (*item)->OnComplete([done = std::move(done)](ce::WorkItem& w) {
         done(w.result());
       });
@@ -82,12 +83,13 @@ struct Env {
   sim::Simulator sim;
   netsub::Network net;
   std::unique_ptr<rt::Platform> server, client;
+  rt::KernelOutputCrc* crc;
   ne::NeSocket* out = nullptr;
   fssub::FileId file = 0;
 };
 
-double RunStreamed(int pages) {
-  Env env;
+double RunStreamed(int pages, rt::KernelOutputCrc* crc) {
+  Env env(crc);
   rt::Pipeline p;
   p.AddStage(env.ReadStage())
       .AddStage(env.CompressStage())
@@ -101,8 +103,8 @@ double RunStreamed(int pages) {
   return double(env.sim.now()) / 1e6;
 }
 
-double RunBarrier(int pages) {
-  Env env;
+double RunBarrier(int pages, rt::KernelOutputCrc* crc) {
+  Env env(crc);
   rt::BatchPipeline p;
   p.AddStage(env.ReadStage())
       .AddStage(env.CompressStage())
@@ -128,9 +130,10 @@ int main() {
               "completion time (ms)\n\n");
   std::printf("%8s %12s %12s %9s\n", "pages", "streamed_ms", "barrier_ms",
               "speedup");
+  rt::KernelOutputCrc crc;
   for (int pages : {8, 16, 32, 64}) {
-    double streamed = RunStreamed(pages);
-    double barrier = RunBarrier(pages);
+    double streamed = RunStreamed(pages, &crc);
+    double barrier = RunBarrier(pages, &crc);
     std::printf("%8d %12.2f %12.2f %8.2fx\n", pages, streamed, barrier,
                 barrier / streamed);
     rt::EmitJsonMetric("abl_pipeline",
@@ -138,6 +141,7 @@ int main() {
                            "pages",
                        barrier / streamed, "x");
   }
+  crc.Emit("abl_pipeline");
   std::printf("\nshape: streaming overlaps SSD, ASIC, and NIC work; the "
               "barrier pays the sum of stage makespans.\n");
   rt::EmitWallClockMetrics("abl_pipeline", wall_timer,

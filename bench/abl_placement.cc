@@ -26,7 +26,7 @@ struct RunResult {
   uint64_t host_jobs;
 };
 
-RunResult Run(hw::DpuSpec dpu, bool scheduled) {
+RunResult Run(hw::DpuSpec dpu, bool scheduled, rt::KernelOutputCrc* crc) {
   sim::Simulator sim;
   hw::Server server(&sim, hw::MakeServerSpec("s", std::move(dpu)));
   ce::ComputeEngineOptions options;
@@ -49,14 +49,18 @@ RunResult Run(hw::DpuSpec dpu, bool scheduled) {
     if (scheduled) {
       auto item = engine.Invoke(job.kernel, text, job.params);  // kAuto
       DPDPU_CHECK(item.ok());
+      crc->Watch(*item);
     } else {
       // Specified execution with the Fig 6 probe-and-fallback.
       auto item = engine.Invoke(job.kernel, text, job.params,
                                 {ce::ExecTarget::kDpuAsic});
-      if (!item.ok()) {
+      if (item.ok()) {
+        crc->Watch(*item);
+      } else {
         auto fallback = engine.Invoke(job.kernel, text, job.params,
                                       {ce::ExecTarget::kDpuCpu});
         DPDPU_CHECK(fallback.ok());  // DPU CPU is always present
+        crc->Watch(*fallback);
       }
     }
   }
@@ -87,9 +91,10 @@ int main() {
   Target targets[] = {{"BlueField-2", hw::BlueField2Spec},
                       {"BlueField-3", hw::BlueField3Spec},
                       {"IPU-like", hw::IntelIpuLikeSpec}};
+  rt::KernelOutputCrc crc;
   for (const Target& t : targets) {
-    RunResult spec = Run(t.spec(), /*scheduled=*/false);
-    RunResult sched = Run(t.spec(), /*scheduled=*/true);
+    RunResult spec = Run(t.spec(), /*scheduled=*/false, &crc);
+    RunResult sched = Run(t.spec(), /*scheduled=*/true, &crc);
     std::printf("%-14s %-11s %12.2f %6llu %9llu %6llu\n", t.name,
                 "specified", spec.makespan_ms,
                 (unsigned long long)spec.asic_jobs,
@@ -104,6 +109,7 @@ int main() {
                        std::string(t.name) + "_scheduled_speedup",
                        spec.makespan_ms / sched.makespan_ms, "x");
   }
+  crc.Emit("abl_placement");
   std::printf("\nshape: the same user code runs on all three DPUs. On "
               "ASIC-rich devices (BF-2) specified and scheduled are "
               "comparable; the fewer accelerators a device has, the more "

@@ -26,7 +26,8 @@ struct TenancyResult {
   double small_p99_ms;
 };
 
-TenancyResult RunTenancy(ce::AdmissionQueue::Discipline discipline) {
+TenancyResult RunTenancy(ce::AdmissionQueue::Discipline discipline,
+                         rt::KernelOutputCrc* crc) {
   sim::Simulator sim;
   hw::Server server(&sim, hw::DefaultServerSpec());
   ce::ComputeEngineOptions options;
@@ -42,6 +43,7 @@ TenancyResult RunTenancy(ce::AdmissionQueue::Discipline discipline) {
       auto item = engine.Invoke(ce::kKernelCompress, big, {},
                                 {ce::ExecTarget::kDpuAsic, 0});
       if (item.ok()) {
+        crc->Watch(*item);
         (*item)->OnComplete(
             [&big_lat](ce::WorkItem& w) { big_lat.Add(w.latency()); });
       }
@@ -57,6 +59,7 @@ TenancyResult RunTenancy(ce::AdmissionQueue::Discipline discipline) {
       auto item = engine.Invoke(ce::kKernelCompress, small, {},
                                 {ce::ExecTarget::kDpuAsic, 1});
       if (item.ok()) {
+        crc->Watch(*item);
         (*item)->OnComplete(
             [&small_lat](ce::WorkItem& w) { small_lat.Add(w.latency()); });
       }
@@ -67,7 +70,8 @@ TenancyResult RunTenancy(ce::AdmissionQueue::Discipline discipline) {
                        double(small_lat.P99()) / 1e6};
 }
 
-double RunPlacementMakespan(ce::PlacementPolicy policy, int jobs) {
+double RunPlacementMakespan(ce::PlacementPolicy policy, int jobs,
+                            rt::KernelOutputCrc* crc) {
   sim::Simulator sim;
   hw::Server server(&sim, hw::DefaultServerSpec());
   ce::ComputeEngineOptions options;
@@ -77,6 +81,7 @@ double RunPlacementMakespan(ce::PlacementPolicy policy, int jobs) {
   for (int i = 0; i < jobs; ++i) {
     auto item = engine.Invoke(ce::kKernelCompress, payload);  // kAuto
     DPDPU_CHECK(item.ok());
+    crc->Watch(*item);
   }
   sim.Run();
   return double(sim.now()) / 1e6;
@@ -90,8 +95,10 @@ int main() {
 
   std::printf("-- multi-tenant ASIC admission: FCFS vs DRR --\n");
   std::printf("%8s %14s %14s\n", "policy", "big_p99_ms", "small_p99_ms");
-  TenancyResult fcfs = RunTenancy(ce::AdmissionQueue::Discipline::kFcfs);
-  TenancyResult drr = RunTenancy(ce::AdmissionQueue::Discipline::kDrr);
+  rt::KernelOutputCrc crc;
+  TenancyResult fcfs =
+      RunTenancy(ce::AdmissionQueue::Discipline::kFcfs, &crc);
+  TenancyResult drr = RunTenancy(ce::AdmissionQueue::Discipline::kDrr, &crc);
   std::printf("%8s %14.2f %14.2f\n", "fcfs", fcfs.big_p99_ms,
               fcfs.small_p99_ms);
   std::printf("%8s %14.2f %14.2f\n", "drr", drr.big_p99_ms,
@@ -104,11 +111,11 @@ int main() {
               "1 MB compress jobs --\n");
   std::printf("%14s %14s\n", "policy", "makespan_ms");
   double asic_only = RunPlacementMakespan(ce::PlacementPolicy::kAsicFirst,
-                                          200);
+                                          200, &crc);
   double model = RunPlacementMakespan(ce::PlacementPolicy::kModelBased,
-                                      200);
+                                      200, &crc);
   double cpu_only = RunPlacementMakespan(ce::PlacementPolicy::kDpuCpuOnly,
-                                         200);
+                                         200, &crc);
   std::printf("%14s %14.2f\n", "asic_first", asic_only);
   std::printf("%14s %14.2f\n", "model_based", model);
   std::printf("%14s %14.2f\n", "dpu_cpu_only", cpu_only);
@@ -122,6 +129,7 @@ int main() {
                      asic_only / model, "x");
   rt::EmitJsonMetric("abl_scheduling", "model_vs_cpu_only_speedup",
                      cpu_only / model, "x");
+  crc.Emit("abl_scheduling");
   rt::EmitWallClockMetrics("abl_scheduling", wall_timer,
                            sim::Simulator::TotalEventsExecuted());
   return 0;

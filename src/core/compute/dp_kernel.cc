@@ -2,6 +2,11 @@
 
 #include <charconv>
 #include <cstring>
+#include <list>
+#include <mutex>
+#include <optional>
+#include <string_view>
+#include <unordered_map>
 
 #include "hw/calibration.h"
 #include "kern/chacha20.h"
@@ -118,12 +123,94 @@ Result<kern::Value> LiteralFromParams(const KernelParams& params) {
   return Status::InvalidArgument("kernel: bad value_type " + type);
 }
 
+// --- compress memo -------------------------------------------------------
+//
+// Simulated time comes from the cost models, not from running the kernel,
+// so compressing one input at one level again only repeats host work. The
+// builtin compress fn keeps a process-wide LRU of its outputs, keyed on the
+// parsed level plus the full input bytes: the hash picks the bucket, and
+// size plus memcmp decide equality. Every copy of the builtin's fn shares
+// it; another kernel registered as "compress" never sees it. Only
+// successful outputs are stored.
+
+struct CompressMemoKey {
+  size_t hash;  // of `input`
+  int level;
+  std::string_view input;
+  bool operator==(const CompressMemoKey&) const = default;
+};
+
+struct CompressMemoKeyHash {
+  size_t operator()(const CompressMemoKey& key) const { return key.hash; }
+};
+
+struct CompressMemoEntry {
+  size_t hash;
+  int level;
+  Buffer input;
+  Buffer output;
+  CompressMemoKey key() const { return {hash, level, input.view()}; }
+};
+
+struct CompressMemo {
+  std::mutex mu;
+  std::list<CompressMemoEntry> lru;  // most recently used first
+  std::unordered_map<CompressMemoKey, std::list<CompressMemoEntry>::iterator,
+                     CompressMemoKeyHash>
+      index;  // keys view the entries' own input bytes
+  size_t bytes = 0;
+};
+
+CompressMemo& TheCompressMemo() {
+  static CompressMemo memo;
+  return memo;
+}
+
+CompressMemoKey MakeCompressMemoKey(int level, ByteSpan input) {
+  std::string_view bytes(reinterpret_cast<const char*>(input.data()),
+                         input.size());
+  return {std::hash<std::string_view>{}(bytes), level, bytes};
+}
+
+// A copy of the stored output for `key`, marked most recently used.
+std::optional<Buffer> LookupCompressMemo(const CompressMemoKey& key) {
+  CompressMemo& memo = TheCompressMemo();
+  std::lock_guard<std::mutex> lock(memo.mu);
+  auto it = memo.index.find(key);
+  if (it == memo.index.end()) return std::nullopt;
+  memo.lru.splice(memo.lru.begin(), memo.lru, it->second);
+  return it->second->output;
+}
+
+void StoreCompressMemo(const CompressMemoKey& key, const Buffer& output) {
+  // Copy outside the lock; the compression itself ran without it.
+  CompressMemoEntry entry{key.hash, key.level, Buffer(key.input), output};
+  CompressMemo& memo = TheCompressMemo();
+  std::lock_guard<std::mutex> lock(memo.mu);
+  if (memo.index.contains(key)) return;  // stored since our lookup missed
+  memo.bytes += entry.input.size() + entry.output.size();
+  memo.lru.push_front(std::move(entry));
+  memo.index.emplace(memo.lru.front().key(), memo.lru.begin());
+  while (memo.bytes > kCompressMemoBudgetBytes && memo.lru.size() > 1) {
+    const CompressMemoEntry& oldest = memo.lru.back();
+    memo.bytes -= oldest.input.size() + oldest.output.size();
+    memo.index.erase(oldest.key());
+    memo.lru.pop_back();
+  }
+}
+
 // --- builtin kernel implementations --------------------------------------
 
 Result<Buffer> CompressFn(ByteSpan input, const KernelParams& params) {
   kern::DeflateOptions options;
   DPDPU_ASSIGN_OR_RETURN(options.level, NumberParam<int>(params, "level", "6"));
-  return kern::DeflateCompress(input, options);
+  CompressMemoKey key = MakeCompressMemoKey(options.level, input);
+  if (std::optional<Buffer> hit = LookupCompressMemo(key)) {
+    return std::move(*hit);
+  }
+  DPDPU_ASSIGN_OR_RETURN(Buffer output, kern::DeflateCompress(input, options));
+  StoreCompressMemo(key, output);
+  return output;
 }
 
 Result<Buffer> DecompressFn(ByteSpan input, const KernelParams&) {

@@ -64,6 +64,12 @@ class KernelRegistry {
   std::map<std::string, DpKernel> kernels_;
 };
 
+/// Byte budget of the builtin compress kernel's process-wide output memo
+/// (dp_kernel.cc): stored input + output bytes, evicted least recently
+/// used first, except that the newest entry is always kept. So the memo
+/// holds at most max(budget, newest entry).
+inline constexpr size_t kCompressMemoBudgetBytes = size_t{6} << 20;
+
 // Builtin kernel names.
 inline constexpr char kKernelCompress[] = "compress";
 inline constexpr char kKernelDecompress[] = "decompress";

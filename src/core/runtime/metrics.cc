@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "kern/crc32.h"
+
 namespace dpdpu::rt {
 
 void UtilizationProbe::Start() {
@@ -44,6 +46,17 @@ void EmitJsonMetric(const std::string& bench, const std::string& metric,
       "\"seed\":%llu}\n",
       bench.c_str(), metric.c_str(), value, unit.c_str(),
       (unsigned long long)seed);
+}
+
+void KernelOutputCrc::Watch(const ce::WorkItemPtr& item) {
+  item->OnComplete([this](ce::WorkItem& w) {
+    if (w.result().ok()) sum_ += kern::Crc32(w.result()->span());
+  });
+}
+
+void KernelOutputCrc::Emit(const std::string& bench) const {
+  // Each CRC is below 2^32, so the double is exact up to 2^21 jobs.
+  EmitJsonMetric(bench, "kernel_output_crc32_sum", double(sum_), "crc32");
 }
 
 void EmitWallClockMetrics(const std::string& bench, const WallTimer& timer,

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <string>
 
+#include "core/compute/work_item.h"
 #include "hw/machine.h"
 #include "sim/simulator.h"
 
@@ -47,6 +48,25 @@ std::string Fmt(double value, int decimals = 2);
 void EmitJsonMetric(const std::string& bench, const std::string& metric,
                     double value, const std::string& unit,
                     uint64_t seed = 0);
+
+/// Sum of kern::Crc32 over the outputs of a bench's completed CE jobs,
+/// emitted as the exact line `kernel_output_crc32_sum`. The timing lines
+/// see only output sizes, so a kernel that returns wrong bytes of the
+/// right size moves no other metric. A sum does not depend on the order
+/// of same-nanosecond completions, so every tie-break gives one value.
+class KernelOutputCrc {
+ public:
+  KernelOutputCrc() = default;
+  KernelOutputCrc(const KernelOutputCrc&) = delete;  // callbacks hold `this`
+  KernelOutputCrc& operator=(const KernelOutputCrc&) = delete;
+
+  /// Adds `item`'s output to the sum once it completes successfully.
+  void Watch(const ce::WorkItemPtr& item);
+  void Emit(const std::string& bench) const;
+
+ private:
+  uint64_t sum_ = 0;
+};
 
 /// Real (wall-clock) stopwatch for bench binaries; starts on
 /// construction. Distinct from sim::SimTime: this measures how long the

@@ -1,8 +1,11 @@
-// Tests for the Compute Engine: kernel registry, specified vs scheduled
-// execution, heterogeneity fallback (the Figure 6 pattern), model-based
-// placement, DRR multi-tenancy, and sprocs.
+// Tests for the Compute Engine: kernel registry, the compress memo,
+// specified vs scheduled execution, heterogeneity fallback (the Figure 6
+// pattern), model-based placement, DRR multi-tenancy, and sprocs.
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <thread>
 
 #include "core/compute/compute_engine.h"
 #include "core/compute/sproc.h"
@@ -246,11 +249,108 @@ Status RunOnDpuCpu(const char* kernel, Buffer input, KernelParams params) {
 
 TEST(ComputeEngineTest, MalformedLevelIsInvalidArgument) {
   Buffer text = kern::GenerateText(1000, {});
-  EXPECT_TRUE(RunOnDpuCpu(kKernelCompress, text, {{"level", "fast"}})
-                  .IsInvalidArgument());
+  // Twice: a failure is never memoized.
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_TRUE(RunOnDpuCpu(kKernelCompress, text, {{"level", "fast"}})
+                    .IsInvalidArgument());
+  }
   EXPECT_TRUE(RunOnDpuCpu(kKernelCompress, text, {{"level", "6x"}})
                   .IsInvalidArgument());
   EXPECT_TRUE(RunOnDpuCpu(kKernelCompress, text, {{"level", "1"}}).ok());
+}
+
+// The builtin compress fn memoizes its outputs process-wide, so these
+// tests see whatever earlier tests stored. Each output must be exactly
+// what kern::DeflateCompress returns.
+Buffer BuiltinCompress(const Buffer& input, const KernelParams& params = {}) {
+  Result<Buffer> out =
+      KernelRegistry::Builtin().Find(kKernelCompress)->fn(input.span(),
+                                                          params);
+  EXPECT_TRUE(out.ok()) << out.status();
+  return out.ok() ? *out : Buffer();
+}
+
+Buffer Deflate(const Buffer& input, int level = 6) {
+  Result<Buffer> out = kern::DeflateCompress(input.span(), {level});
+  EXPECT_TRUE(out.ok()) << out.status();
+  return out.ok() ? *out : Buffer();
+}
+
+// Zero-filled, so DEFLATE is fast; `tag` keeps the inputs distinct.
+Buffer TaggedZeros(size_t bytes, uint8_t tag) {
+  Buffer input(bytes);
+  input[0] = tag;
+  return input;
+}
+
+TEST(CompressMemoTest, HitsAndNearMissesMatchDeflate) {
+  Buffer text = kern::GenerateText(64 << 10, {11});
+  Buffer last_byte_differs = text;
+  last_byte_differs[text.size() - 1] ^= 1;
+  EXPECT_EQ(BuiltinCompress(text), Deflate(text));
+  EXPECT_EQ(BuiltinCompress(text), Deflate(text));
+  EXPECT_EQ(BuiltinCompress(last_byte_differs), Deflate(last_byte_differs));
+  Buffer fast = BuiltinCompress(text, {{"level", "1"}});
+  EXPECT_EQ(fast, Deflate(text, 1));
+  EXPECT_NE(fast, Deflate(text));  // so the level must be part of the key
+}
+
+TEST(CompressMemoTest, InputOverBudgetIsKeptAsNewestAndHit) {
+  Buffer huge = TaggedZeros(kCompressMemoBudgetBytes + (1 << 20), 1);
+  EXPECT_EQ(BuiltinCompress(huge), Deflate(huge));
+  EXPECT_EQ(BuiltinCompress(huge), Deflate(huge));
+}
+
+TEST(CompressMemoTest, EvictedInputIsRecomputed) {
+  std::vector<Buffer> inputs;
+  for (size_t bytes = 0; bytes <= kCompressMemoBudgetBytes;
+       bytes += 1 << 20) {
+    inputs.push_back(TaggedZeros(1 << 20, uint8_t(2 + inputs.size())));
+  }
+  for (const Buffer& input : inputs) {
+    EXPECT_EQ(BuiltinCompress(input), Deflate(input));
+  }
+  EXPECT_EQ(BuiltinCompress(inputs[0]), Deflate(inputs[0]));
+}
+
+TEST(CompressMemoTest, ConcurrentCallersGetDeflateBytes) {
+  // The memo is process-wide, so callers on any thread share it.
+  Buffer shared = kern::GenerateText(32 << 10, {13});
+  const Buffer expected = Deflate(shared);
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      Buffer own = TaggedZeros(256 << 10, uint8_t(16 + t));
+      const Buffer own_expected = Deflate(own);
+      for (int i = 0; i < 3; ++i) {
+        if (!(BuiltinCompress(shared) == expected)) ++mismatches;
+        if (!(BuiltinCompress(own) == own_expected)) ++mismatches;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST(CompressMemoTest, KernelRegisteredUnderTheBuiltinNameBypassesIt) {
+  Buffer text = kern::GenerateText(4096, {12});
+  EXPECT_EQ(BuiltinCompress(text), Deflate(text));
+  const Buffer stand_in_output(std::string_view("stand-in"));
+  DpKernel stand_in = *KernelRegistry::Builtin().Find(kKernelCompress);
+  stand_in.fn = [&stand_in_output](ByteSpan,
+                                   const KernelParams&) -> Result<Buffer> {
+    return stand_in_output;
+  };
+  KernelRegistry registry;
+  ASSERT_TRUE(registry.Register(std::move(stand_in)).ok());
+  CeFixture f(hw::BlueField2Spec(), {}, std::move(registry));
+  auto item = f.engine.Invoke(kKernelCompress, text, {},
+                              {ExecTarget::kDpuCpu});
+  ASSERT_TRUE(item.ok());
+  f.sim.Run();
+  ASSERT_TRUE((*item)->result().ok());
+  EXPECT_EQ((*item)->result().value(), stand_in_output);
 }
 
 TEST(ComputeEngineTest, MalformedCounterIsInvalidArgument) {
@@ -306,18 +406,12 @@ TEST(TenancyTest, DrrGivesSmallTenantFairShare) {
   // Tenant 0 floods the ASIC with large jobs; tenant 1 submits a few
   // small ones. Under FCFS the small tenant waits behind the flood;
   // under DRR it interleaves. ASIC time depends only on input bytes, so
-  // the compress kernel keeps its name, cost model and ASIC affinity but
-  // gets a trivial fn, and the inputs are zero-filled.
-  DpKernel compress = *KernelRegistry::Builtin().Find(kKernelCompress);
-  compress.fn = [](ByteSpan, const KernelParams&) -> Result<Buffer> {
-    return Buffer();
-  };
-  auto run = [&compress](AdmissionQueue::Discipline discipline) {
+  // the inputs are zero-filled, which DEFLATE compresses fast, and the
+  // compress memo runs the real kernel once per input.
+  auto run = [](AdmissionQueue::Discipline discipline) {
     ComputeEngineOptions options;
     options.asic_admission = discipline;
-    KernelRegistry registry;
-    EXPECT_TRUE(registry.Register(compress).ok());
-    CeFixture f(hw::BlueField2Spec(), options, std::move(registry));
+    CeFixture f(hw::BlueField2Spec(), options);
     Buffer big(size_t{2} << 20);
     Buffer small(size_t{64} << 10);
     std::vector<WorkItemPtr> small_items;
