@@ -199,6 +199,58 @@ void BM_PeriodicTaskTicks(benchmark::State& state) {
 }
 BENCHMARK(BM_PeriodicTaskTicks);
 
+// One event of BM_SimulatorDeepHeap: owns a Buffer, as Network::Send's
+// Packet capture does, so moving the closure is not a trivial copy. It
+// reschedules itself as one of four closure types at a pseudo-random
+// delay: a fleet run's pending closures are of many types, so each
+// relocation is an indirect call the CPU cannot predict.
+template <int kType>
+struct DeepHeapEvent {
+  sim::Simulator* sim;
+  uint64_t* rng;
+  Buffer payload;
+
+  void operator()();
+};
+
+template <int kType>
+void DeepHeapEvent<kType>::operator()() {
+  *rng = *rng * 6364136223846793005ull + 1442695040888963407ull;
+  uint64_t r = *rng >> 33;
+  sim::SimTime delay = 1 + (r + kType) % 1000;  // kType: no code folding
+  switch ((r >> 10) % 4) {
+    case 0:
+      sim->Schedule(delay, DeepHeapEvent<0>{sim, rng, std::move(payload)});
+      break;
+    case 1:
+      sim->Schedule(delay, DeepHeapEvent<1>{sim, rng, std::move(payload)});
+      break;
+    case 2:
+      sim->Schedule(delay, DeepHeapEvent<2>{sim, rng, std::move(payload)});
+      break;
+    default:
+      sim->Schedule(delay, DeepHeapEvent<3>{sim, rng, std::move(payload)});
+      break;
+  }
+}
+
+void BM_SimulatorDeepHeap(benchmark::State& state) {
+  // Steady state at fleet depth: about 4096 events stay pending (fleet_kv
+  // holds 5-6 K), and each step runs one and schedules one.
+  sim::Simulator sim;
+  uint64_t rng = 1;
+  for (int i = 0; i < 4096; ++i) {
+    sim.Schedule(uint64_t(i % 1000),
+                 DeepHeapEvent<0>{&sim, &rng, Buffer(size_t{64})});
+  }
+  for (auto _ : state) {
+    sim.Step();
+  }
+  benchmark::DoNotOptimize(sim.events_executed());
+  state.SetItemsProcessed(int64_t(state.iterations()));
+}
+BENCHMARK(BM_SimulatorDeepHeap);
+
 void BM_Histogram(benchmark::State& state) {
   Histogram h;
   uint64_t v = 12345;

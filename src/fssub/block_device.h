@@ -8,8 +8,9 @@
 #define DPDPU_FSSUB_BLOCK_DEVICE_H_
 
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
-#include <vector>
+#include <memory>
 
 #include "common/buffer.h"
 #include "common/status.h"
@@ -32,7 +33,9 @@ class BlockDevice {
   virtual Status WriteBlock(uint64_t block, ByteSpan data) = 0;
 };
 
-/// In-memory block device with write-failure injection.
+/// In-memory block device with write-failure injection. Storage comes
+/// from calloc, so the kernel zero-fills pages on first touch and a large
+/// device that is mostly unused costs only the blocks it writes or reads.
 class MemBlockDevice final : public BlockDevice {
  public:
   MemBlockDevice(uint32_t block_size, uint64_t num_blocks);
@@ -56,7 +59,10 @@ class MemBlockDevice final : public BlockDevice {
  private:
   uint32_t block_size_;
   uint64_t num_blocks_;
-  std::vector<uint8_t> data_;
+  struct Free {
+    void operator()(uint8_t* p) const { std::free(p); }
+  };
+  std::unique_ptr<uint8_t[], Free> data_;
   uint64_t writes_ = 0;
   uint64_t dropped_writes_ = 0;
   uint64_t writes_remaining_ = std::numeric_limits<uint64_t>::max();

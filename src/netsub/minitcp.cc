@@ -14,6 +14,9 @@ constexpr uint8_t kFlagFin = 4;
 
 constexpr sim::SimTime kInitialRto = 1 * sim::kMillisecond;
 
+/// Encoded size of SegmentHeader (EncodeHeader's field widths).
+constexpr size_t kSegmentHeaderBytes = 2 + 2 + 8 + 8 + 1 + 4 + 4;
+
 struct SegmentHeader {
   uint16_t src_port;
   uint16_t dst_port;
@@ -125,16 +128,12 @@ void TcpConnection::Pump() {
 
 void TcpConnection::SendSegment(uint64_t seq, size_t len,
                                 bool retransmission) {
-  // Data bytes [seq, seq+len) live in send_buffer_ starting at snd_una_
-  // (acked bytes are popped on arrival of their ACK).
+  // Data bytes [seq, seq+len) live in send_buffer_ starting at
+  // send_head_, which holds snd_una_ (acked bytes are dropped on arrival
+  // of their ACK).
   DPDPU_CHECK(seq >= snd_una_);
-  size_t offset = static_cast<size_t>(seq - snd_una_);
+  size_t offset = send_head_ + static_cast<size_t>(seq - snd_una_);
   DPDPU_CHECK(offset + len <= send_buffer_.size());
-  Buffer payload;
-  payload.reserve(len);
-  for (size_t i = 0; i < len; ++i) {
-    payload.AppendU8(send_buffer_[offset + i]);
-  }
   if (retransmission) {
     ++stats_.retransmissions;
     timing_ = false;  // Karn's rule
@@ -143,8 +142,9 @@ void TcpConnection::SendSegment(uint64_t seq, size_t len,
     timed_seq_ = seq + len;
     timed_sent_at_ = stack_->simulator()->now();
   }
+  // The span lives only for this call: Transmit copies it into the Packet.
   stack_->Transmit(this, kFlagAck, seq, rcv_nxt_, rwnd_advertised_,
-                   payload.span());
+                   ByteSpan(send_buffer_.data() + offset, len));
   ++stats_.segments_sent;
 }
 
@@ -186,6 +186,7 @@ void TcpConnection::Abort() {
   state_ = State::kClosed;
   ++stats_.aborts;
   send_buffer_.clear();
+  send_head_ = 0;
   message_ends_.clear();
   out_of_order_.clear();
   // Collapse the send window so late ACKs for reaped bytes are ignored
@@ -299,8 +300,15 @@ void TcpConnection::HandleAck(uint64_t ack, bool pure_ack) {
     uint64_t data_acked_to = std::min(ack, write_seq_);
     if (data_acked_to > data_acked_from) {
       size_t n = static_cast<size_t>(data_acked_to - data_acked_from);
-      DPDPU_CHECK(n <= send_buffer_.size());
-      send_buffer_.erase(send_buffer_.begin(), send_buffer_.begin() + n);
+      DPDPU_CHECK(n <= send_buffer_.size() - send_head_);
+      send_head_ += n;
+      // Compact once the acked prefix outweighs the live bytes, so each
+      // byte is moved O(1) times on average.
+      if (send_head_ * 2 > send_buffer_.size()) {
+        send_buffer_.erase(send_buffer_.begin(),
+                           send_buffer_.begin() + send_head_);
+        send_head_ = 0;
+      }
     }
     snd_una_ = ack;
     if (snd_nxt_ < snd_una_) snd_nxt_ = snd_una_;
@@ -484,6 +492,7 @@ void TcpStack::Transmit(TcpConnection* conn, uint8_t flags, uint64_t seq,
   packet.src = node_;
   packet.dst = conn->remote_node_;
   packet.kind = kPacketKindTcp;
+  packet.payload.reserve(kSegmentHeaderBytes + payload.size());
   EncodeHeader(h, &packet.payload);
   packet.payload.Append(payload);
   if (segment_hook_) segment_hook_(packet.wire_size(), /*rx=*/false);

@@ -17,6 +17,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "common/buffer.h"
 #include "netsub/network.h"
@@ -128,7 +129,12 @@ class TcpConnection {
   State state_ = State::kSynSent;
 
   // Send side. Sequence space: SYN consumes 1, data bytes follow.
-  std::deque<uint8_t> send_buffer_;  // bytes [snd_una_, write_seq_)
+  /// Bytes [snd_una_, write_seq_) are send_buffer_[send_head_, end): one
+  /// contiguous vector, so every segment cut (including retransmits that
+  /// span two app writes) is a span into it. HandleAck advances the head
+  /// and compacts once the head passes half the size.
+  std::vector<uint8_t> send_buffer_;
+  size_t send_head_ = 0;
   /// End seq of each queued app write. Pump never packs bytes from two
   /// writes into one segment and never cuts a segment at the window
   /// edge, so the segment-size sequence is a pure function of the

@@ -80,11 +80,12 @@ class ScheduleChooser {
 /// Single-threaded event-driven simulator.
 class Simulator {
  public:
-  // Pre-size the event heap: fleet-scale runs push thousands of events
-  // immediately, and growing a vector of 96-byte Events mid-run both
-  // reallocates and move-relocates every pending closure.
+  // Pre-size the event heap and the closure arena: fleet-scale runs push
+  // thousands of events immediately, and growing the arena mid-run
+  // move-relocates every pending closure.
   Simulator() {
     heap_.reserve(1024);
+    slots_.reserve(1024);
     const EnvConfig& env = EnvConfig::Get();
     tie_policy_ = static_cast<TieBreak>(env.tie_policy);
     shuffle_seed_ = env.shuffle_seed;
@@ -115,21 +116,37 @@ class Simulator {
     DPDPU_CHECK(t >= now_);
     uint64_t seq = next_seq_++;
     if (race_) race_->OnSchedule(seq, t, current_event_);
-    heap_.push_back(Event{t, TieKey(seq), seq, current_event_, std::move(fn)});
-    std::push_heap(heap_.begin(), heap_.end(), Event::Later);
+    uint32_t slot = static_cast<uint32_t>(slots_.size());
+    if (free_.empty()) {
+      slots_.push_back(Slot{std::move(fn), current_event_});
+    } else {
+      slot = free_.back();
+      free_.pop_back();
+      slots_[slot].fn = std::move(fn);
+      slots_[slot].parent = current_event_;
+    }
+    heap_.push_back(Key{t, TieKey(seq), seq, slot});
+    std::push_heap(heap_.begin(), heap_.end(), Key::Later);
   }
 
   /// Executes the next event, if any. Returns false when idle.
   bool Step() {
     if (heap_.empty()) return false;
-    Event ev = chooser_ ? PopChosen() : PopNext();
-    DPDPU_CHECK(ev.time >= now_);
-    now_ = ev.time;
+    Key key = chooser_ ? PopChosen() : PopNext();
+    DPDPU_CHECK(key.time >= now_);
+    // Move the closure out and free its slot before running it, so the
+    // event can schedule into that slot; the closure (and its captures)
+    // dies when Step returns, after the event and before the next one.
+    Slot& slot = slots_[key.slot];
+    UniqueFunction fn = std::move(slot.fn);
+    uint64_t parent = slot.parent;
+    free_.push_back(key.slot);
+    now_ = key.time;
     ++executed_;
     ++total_executed_;
-    current_event_ = ev.seq;
-    if (race_) race_->BeginEvent(ev.seq, ev.time, ev.parent);
-    ev.fn();
+    current_event_ = key.seq;
+    if (race_) race_->BeginEvent(key.seq, key.time, parent);
+    fn();
     if (race_) race_->EndEvent();
     current_event_ = kNoEvent;
     return true;
@@ -202,34 +219,42 @@ class Simulator {
   }
 
  private:
-  struct Event {
+  // The heap sifts plain 32-byte keys; each pending closure and its
+  // parent event id stay put in an arena slot (recycled through free_)
+  // until Step moves the closure out to run it.
+  struct Key {
     SimTime time;
     uint64_t tie;
     uint64_t seq;
-    uint64_t parent;  // event executing when this one was scheduled
-    UniqueFunction fn;
+    uint32_t slot;
 
     // Min-heap on (time, tie, seq) via std::push_heap's max-heap
     // comparator; seq last keeps the order total for every policy.
-    static bool Later(const Event& a, const Event& b) {
+    static bool Later(const Key& a, const Key& b) {
       if (a.time != b.time) return a.time > b.time;
       if (a.tie != b.tie) return a.tie > b.tie;
       return a.seq > b.seq;
     }
   };
+  static_assert(sizeof(Key) == 32);
+
+  struct Slot {
+    UniqueFunction fn;
+    uint64_t parent;  // event executing when this one was scheduled
+  };
 
   /// Fast path: pop the heap minimum under the tie-break policy.
-  Event PopNext() {
-    std::pop_heap(heap_.begin(), heap_.end(), Event::Later);
-    Event ev = std::move(heap_.back());
+  Key PopNext() {
+    std::pop_heap(heap_.begin(), heap_.end(), Key::Later);
+    Key key = heap_.back();
     heap_.pop_back();
-    return ev;
+    return key;
   }
 
   /// Exploration path: collect every event tied at the minimum
   /// timestamp (in policy order, so pick 0 reproduces PopNext), ask the
   /// chooser, and remove the chosen event from the middle of the heap.
-  Event PopChosen() {
+  Key PopChosen() {
     SimTime t = heap_.front().time;
     std::vector<size_t> ties;
     for (size_t i = 0; i < heap_.size(); ++i) {
@@ -238,7 +263,7 @@ class Simulator {
     size_t idx = ties[0];
     if (ties.size() > 1) {
       std::sort(ties.begin(), ties.end(), [this](size_t a, size_t b) {
-        return Event::Later(heap_[b], heap_[a]);
+        return Key::Later(heap_[b], heap_[a]);
       });
       std::vector<uint64_t> seqs(ties.size());
       for (size_t i = 0; i < ties.size(); ++i) seqs[i] = heap_[ties[i]].seq;
@@ -247,11 +272,11 @@ class Simulator {
       DPDPU_CHECK(pick < ties.size());
       idx = ties[pick];
     }
-    Event ev = std::move(heap_[idx]);
-    if (idx != heap_.size() - 1) heap_[idx] = std::move(heap_.back());
+    Key key = heap_[idx];
+    if (idx != heap_.size() - 1) heap_[idx] = heap_.back();
     heap_.pop_back();
-    std::make_heap(heap_.begin(), heap_.end(), Event::Later);
-    return ev;
+    std::make_heap(heap_.begin(), heap_.end(), Key::Later);
+    return key;
   }
 
   uint64_t TieKey(uint64_t seq) const {
@@ -274,7 +299,9 @@ class Simulator {
   uint64_t shuffle_seed_ = 1;
   ScheduleChooser* chooser_ = nullptr;
   static inline uint64_t total_executed_ = 0;
-  std::vector<Event> heap_;
+  std::vector<Key> heap_;
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_;
   std::unique_ptr<RaceChecker> race_;
 };
 

@@ -58,6 +58,25 @@ TEST(BlockDeviceTest, WriteLimitSilentlyDrops) {
   EXPECT_EQ(out[0], 0);  // the drop left old contents
 }
 
+TEST(BlockDeviceTest, UnwrittenBlocksReadZeroOnLargeDevice) {
+  // The platform default: 256 MB, zeroed lazily by the allocator.
+  constexpr uint64_t kBlocks = 64 * 1024;
+  MemBlockDevice dev(kBs, kBlocks);
+  Buffer ones(size_t{kBs});
+  for (size_t i = 0; i < kBs; ++i) ones[i] = 1;
+  ASSERT_TRUE(dev.WriteBlock(0, ones.span()).ok());
+  ASSERT_TRUE(dev.WriteBlock(kBlocks - 1, ones.span()).ok());
+  EXPECT_EQ(dev.writes(), 2u);
+  const Buffer zeros(size_t{kBs});
+  Buffer out(size_t{kBs});
+  for (uint64_t block : {uint64_t{1}, kBlocks / 2, kBlocks - 2}) {
+    ASSERT_TRUE(dev.ReadBlock(block, out.mutable_span()).ok());
+    EXPECT_EQ(out, zeros) << "block " << block;
+  }
+  ASSERT_TRUE(dev.ReadBlock(kBlocks - 1, out.mutable_span()).ok());
+  EXPECT_EQ(out, ones);
+}
+
 // --------------------------------------------------------------------------
 // Journal.
 // --------------------------------------------------------------------------

@@ -4,10 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "hw/machine.h"
 #include "kern/textgen.h"
 #include "netsub/minitcp.h"
@@ -625,6 +627,54 @@ TEST_P(TcpLossSweep, ExactDeliveryUnderLoss) {
       << "loss=" << loss_pct << "% size=" << kilobytes << "KB";
   EXPECT_EQ(received, sent);
   EXPECT_TRUE(closed);
+}
+
+// The same grid as many app writes of seeded sizes (1 B to 10 KB),
+// staggered in simulated time: Send appends while earlier bytes are in
+// flight, the send buffer's head compacts many times, and a timeout or
+// fast retransmit cuts min(mss, unsent) bytes across app-write
+// boundaries.
+TEST_P(TcpLossSweep, ExactDeliveryOfManyWritesUnderLoss) {
+  auto [loss_pct, kilobytes] = GetParam();
+  sim::Simulator sim;
+  Network net(&sim);
+  hw::NicPort nic_a(&sim, "a", hw::NicSpec{100e9, 2000, 4096});
+  hw::NicPort nic_b(&sim, "b", hw::NicSpec{100e9, 2000, 4096});
+  TcpStack sa(&sim, &net, 1), sb(&sim, &net, 2);
+  net.Attach(1, &nic_a, [&](Packet p) { sa.OnPacket(std::move(p)); });
+  net.Attach(2, &nic_b, [&](Packet p) { sb.OnPacket(std::move(p)); });
+  uint64_t seed = uint64_t(loss_pct) * 131 + kilobytes;
+  net.SetLossRate(loss_pct / 100.0, seed);
+
+  Buffer sent = kern::GenerateText(size_t(kilobytes) * 1024,
+                                   {uint64_t(kilobytes), 4096, 0.9});
+  Buffer received;
+  bool closed = false;
+  sb.Listen(80, [&](TcpConnection* c) {
+    c->SetReceiveCallback([&](ByteSpan d) { received.Append(d); });
+    c->SetCloseCallback([&] { closed = true; });
+  });
+  TcpConnection* client = sa.Connect(2, 80);
+  Pcg32 rng(seed);
+  sim::SimTime at = 0;
+  size_t writes = 0;
+  for (size_t off = 0; off < sent.size(); ++writes) {
+    // Log-uniform sizes: mostly small writes, some up to 10 KB.
+    uint64_t cap = std::min<uint64_t>(10 * 1024, 1ull << rng.NextBounded(14));
+    size_t n = std::min<size_t>(rng.NextRange(1, cap), sent.size() - off);
+    ByteSpan chunk = sent.span().subspan(off, n);
+    sim.ScheduleAt(at, [client, chunk] { client->Send(chunk); });
+    off += n;
+    at += rng.NextBounded(3000);  // 0-3 us apart: writes overlap the RTT
+  }
+  sim.ScheduleAt(at + sim::kMicrosecond, [client] { client->Close(); });
+  sim.Run();
+  ASSERT_EQ(received.size(), sent.size())
+      << "loss=" << loss_pct << "% size=" << kilobytes << "KB writes="
+      << writes;
+  EXPECT_EQ(received, sent);
+  EXPECT_TRUE(closed);
+  EXPECT_GT(writes, size_t(kilobytes) / 4);
 }
 
 INSTANTIATE_TEST_SUITE_P(

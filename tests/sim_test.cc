@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <memory>
+#include <tuple>
 #include <vector>
 
 #include "sim/resource.h"
@@ -107,6 +111,182 @@ TEST(SimulatorTest, ManyEventsStressOrdering) {
   }
   sim.Run();
   EXPECT_TRUE(monotonic);
+}
+
+// --------------------------------------------------------------------------
+// Event order against a naive reference scheduler
+// --------------------------------------------------------------------------
+
+// What an event does when it runs: schedule these children. A pure
+// function of the event id, so Simulator and the reference build the
+// same event tree whenever they run events in the same order.
+enum class Capture : uint8_t { kInline, kBoxed, kShared };
+struct Child {
+  SimTime delay;
+  Capture capture;
+};
+std::vector<Child> ChildrenOf(uint64_t id) {
+  static constexpr SimTime kDelays[] = {0, 0, 1, 3, 10, 10, 100, 1000};
+  uint64_t h = SplitMix64(id);
+  size_t n = h % 4 == 0 ? 0 : (h % 4 == 3 ? 2 : 1);
+  std::vector<Child> children;
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t bits = h >> (8 + 16 * i);
+    children.push_back({kDelays[bits & 7], Capture((bits >> 3) % 3)});
+  }
+  return children;
+}
+
+constexpr uint64_t kMaxOrderEvents = 5000;
+
+// Pending events in a list sorted by (time, tie key, seq); runs the front.
+class ReferenceScheduler {
+ public:
+  ReferenceScheduler(TieBreak policy, uint64_t seed)
+      : policy_(policy), seed_(seed) {}
+
+  SimTime now() const { return now_; }
+  size_t pending() const { return pending_.size(); }
+
+  void Schedule(SimTime delay) {
+    if (next_seq_ == kMaxOrderEvents) return;
+    uint64_t seq = next_seq_++;
+    Entry e{now_ + delay, TieKey(seq), seq};
+    pending_.insert(std::upper_bound(pending_.begin(), pending_.end(), e), e);
+  }
+
+  /// Runs every event at or before `limit` and appends its id to `order`.
+  void RunUntil(SimTime limit, std::vector<uint64_t>* order) {
+    while (!pending_.empty() && pending_.front().time <= limit) {
+      Entry e = pending_.front();
+      pending_.erase(pending_.begin());
+      now_ = e.time;
+      order->push_back(e.seq);
+      for (const Child& c : ChildrenOf(e.seq)) Schedule(c.delay);
+    }
+    if (limit != kForever && limit > now_) now_ = limit;
+  }
+
+  static constexpr SimTime kForever = ~SimTime{0};
+
+ private:
+  struct Entry {
+    SimTime time;
+    uint64_t tie;
+    uint64_t seq;
+    bool operator<(const Entry& o) const {
+      return std::tie(time, tie, seq) < std::tie(o.time, o.tie, o.seq);
+    }
+  };
+
+  uint64_t TieKey(uint64_t seq) const {
+    switch (policy_) {
+      case TieBreak::kFifo:
+        return seq;
+      case TieBreak::kLifo:
+        return ~seq;
+      case TieBreak::kShuffle:
+        return SplitMix64(seq ^ seed_);
+    }
+    return seq;
+  }
+
+  TieBreak policy_;
+  uint64_t seed_;
+  SimTime now_ = 0;
+  uint64_t next_seq_ = 0;
+  std::vector<Entry> pending_;
+};
+
+// Runs Simulator through the same event tree. Event ids are scheduling
+// order, which is Simulator's sequence number.
+class SimulatorRunner {
+ public:
+  SimulatorRunner(TieBreak policy, uint64_t seed) {
+    sim_.SetTieBreak(policy, seed);
+  }
+
+  Simulator& sim() { return sim_; }
+  const std::vector<uint64_t>& order() const { return order_; }
+
+  void Schedule(SimTime delay, Capture capture) {
+    if (next_id_ == kMaxOrderEvents) return;
+    uint64_t id = next_id_++;
+    UniqueFunction fn;
+    switch (capture) {
+      case Capture::kInline:
+        fn = [this, id] { Run(id); };
+        EXPECT_TRUE(fn.is_inline());
+        break;
+      case Capture::kBoxed: {
+        std::array<uint64_t, 16> pad{};
+        pad.fill(id * 3 + 1);
+        fn = [this, id, pad] {
+          EXPECT_EQ(pad[15], id * 3 + 1);  // survived every relocation
+          Run(id);
+        };
+        EXPECT_FALSE(fn.is_inline());
+        break;
+      }
+      case Capture::kShared: {
+        auto token = std::make_shared<uint64_t>(id);
+        fn = [this, id, token] {
+          EXPECT_EQ(*token, id);
+          Run(id);
+          last_token_ = token;
+        };
+        EXPECT_TRUE(fn.is_inline());
+        break;
+      }
+    }
+    sim_.Schedule(delay, std::move(fn));
+  }
+
+ private:
+  void Run(uint64_t id) {
+    // The previous event's closure, and the token it held, must be gone.
+    EXPECT_TRUE(last_token_.expired()) << "before event " << id;
+    order_.push_back(id);
+    for (const Child& c : ChildrenOf(id)) Schedule(c.delay, c.capture);
+  }
+
+  Simulator sim_;
+  uint64_t next_id_ = 0;
+  std::vector<uint64_t> order_;
+  std::weak_ptr<uint64_t> last_token_;
+};
+
+TEST(SimulatorTest, EventOrderMatchesReferenceScheduler) {
+  const TieBreak kPolicies[] = {TieBreak::kFifo, TieBreak::kLifo,
+                                TieBreak::kShuffle};
+  for (TieBreak policy : kPolicies) {
+    SCOPED_TRACE(testing::Message() << "policy " << int(policy));
+    SimulatorRunner runner(policy, /*seed=*/7);
+    ReferenceScheduler ref(policy, /*seed=*/7);
+    auto schedule_roots = [&](uint64_t n) {
+      for (uint64_t i = 0; i < n; ++i) {
+        SimTime delay = (i * 7) % 23 % 11;  // many same-time ties
+        runner.Schedule(delay, Capture(i % 3));
+        ref.Schedule(delay);
+      }
+    };
+    schedule_roots(64);
+    std::vector<uint64_t> expected;
+    for (SimTime boundary : {0, 5, 10, 10, 23, 100, 150, 1000, 5000}) {
+      runner.sim().RunUntil(boundary);
+      ref.RunUntil(boundary, &expected);
+      ASSERT_EQ(runner.order(), expected) << "at RunUntil(" << boundary << ")";
+      EXPECT_EQ(runner.sim().now(), ref.now());
+      EXPECT_EQ(runner.sim().pending(), ref.pending());
+      schedule_roots(4);  // from outside any event, tied with pending ones
+    }
+    runner.sim().Run();
+    ref.RunUntil(ReferenceScheduler::kForever, &expected);
+    EXPECT_EQ(runner.order(), expected);
+    EXPECT_EQ(runner.sim().now(), ref.now());
+    EXPECT_EQ(expected.size(), kMaxOrderEvents);
+    EXPECT_TRUE(runner.sim().empty());
+  }
 }
 
 // --------------------------------------------------------------------------
