@@ -15,7 +15,6 @@
 #include "core/runtime/metrics.h"
 #include "core/runtime/platform.h"
 #include "core/storage/storage_engine.h"
-#include "fssub/page_cache.h"
 #include "kern/textgen.h"
 
 using namespace dpdpu;  // NOLINT: bench brevity
@@ -50,8 +49,8 @@ double Run(double dpu_cache_share, double host_fraction) {
   }
 
   // Host-side cache for the host application's reads.
-  fssub::PageCache host_cache(kTotalCache -
-                              uint64_t(kTotalCache * dpu_cache_share));
+  se::HostFileClient& host = server.storage().host_client();
+  host.EnableHostCache(kTotalCache - uint64_t(kTotalCache * dpu_cache_share));
 
   se::RemoteStorageClient rsc(&client.network(), 1, 9000);
   ZipfGenerator zipf(kFilePages, 0.99);
@@ -76,22 +75,13 @@ double Run(double dpu_cache_share, double host_fraction) {
       ++done;
       issue();
     };
+    // Host application reads try the host cache first, then the file
+    // service; remote reads go through the DPU path.
+    auto on_data = [finish](Result<Buffer> d) { finish(d.ok()); };
     if (rng.NextDouble() < host_fraction) {
-      // Host application read: host cache first, then the file service.
-      fssub::PageKey key{*file, page};
-      if (host_cache.Get(key) != nullptr) {
-        finish(true);
-        return;
-      }
-      server.storage().host_client().Read(
-          *file, page * kPage, kPage,
-          [&, key, finish](Result<Buffer> d) {
-            if (d.ok()) host_cache.Put(key, std::move(d).value());
-            finish(d.ok());
-          });
+      host.Read(*file, page * kPage, kPage, on_data);
     } else {
-      rsc.Read(*file, page * kPage, kPage,
-               [finish](Result<Buffer> d) { finish(d.ok()); });
+      rsc.Read(*file, page * kPage, kPage, on_data);
     }
   };
   issue();

@@ -77,18 +77,12 @@ int main() {
   // applied by a host handler (index mutation logic lives on the host).
   uint64_t host_puts = 0;
   server.storage().SetHostHandler(
-      [&](se::RemoteRequest request, std::function<void(Buffer)> reply) {
+      [&](se::RemoteRequest request, se::ReplyFn reply) {
         ++host_puts;
         // Host-side PUT: write the bucket through the DPU file service.
-        server.storage().file_service().WriteAsync(
-            request.file, request.offset, std::move(request.data),
-            se::PersistMode::kDpuLogAck,
-            [tag = request.tag, reply = std::move(reply)](Status s) {
-              se::RemoteResponse resp;
-              resp.tag = tag;
-              resp.ok = s.ok();
-              reply(se::EncodeRemoteResponse(resp));
-            });
+        se::ServeFileRequest(&server.storage().file_service(),
+                             std::move(request), se::PersistMode::kDpuLogAck,
+                             std::move(reply));
       });
   server.storage().Serve();
 

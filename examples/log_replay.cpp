@@ -62,7 +62,7 @@ int main() {
   uint64_t host_appends = 0;
 
   server.storage().SetHostHandler(
-      [&](se::RemoteRequest request, std::function<void(Buffer)> reply) {
+      [&](se::RemoteRequest request, se::ReplyFn reply) {
         // Parse the log record, apply it to the page, bump the LSN.
         ++host_appends;
         ByteReader r(request.data.span());
@@ -71,15 +71,12 @@ int main() {
         bool ok = r.ReadU32(&page) && r.ReadU32(&offset) &&
                   r.ReadU32(&len) && r.ReadSpan(len, &bytes);
         if (!ok || offset + len > kPageBytes) {
-          se::RemoteResponse resp;
-          resp.tag = request.tag;
-          resp.ok = false;
-          reply(se::EncodeRemoteResponse(resp));
+          reply(Status::InvalidArgument("malformed log record"));
           return;
         }
         // Replay work on host cores (parse + apply).
         server.server().host_cpu().Execute(
-            4000 + len, [&, page, offset, tag = request.tag,
+            4000 + len, [&, page, offset,
                          data = Buffer(bytes.data(), bytes.size()),
                          reply = std::move(reply)]() mutable {
               page_lsn[page] = next_lsn++;
@@ -87,11 +84,9 @@ int main() {
               server.storage().file_service().WriteAsync(
                   *file, uint64_t(page) * kPageBytes + offset,
                   std::move(data), se::PersistMode::kDpuLogAck,
-                  [tag, reply = std::move(reply)](Status s) {
-                    se::RemoteResponse resp;
-                    resp.tag = tag;
-                    resp.ok = s.ok();
-                    reply(se::EncodeRemoteResponse(resp));
+                  [reply = std::move(reply)](Status s) {
+                    reply(s.ok() ? Result<Buffer>(Buffer())
+                                 : Result<Buffer>(s));
                   });
             });
       });

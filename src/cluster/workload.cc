@@ -60,7 +60,7 @@ FleetClient::FleetClient(Fleet* fleet, uint32_t client_index,
 se::RemoteStorageClient* FleetClient::ClientFor(netsub::NodeId node) {
   auto it = connections_.find(node);
   // A closed (aborted) connection is replaced once its close handling
-  // has drained every pending request; until then SendRequest on it
+  // has drained every pending request; until then a request issued on it
   // fail-fasts, which feeds the retry path.
   if (it != connections_.end() && it->second->closed() &&
       it->second->requests_outstanding() == 0) {

@@ -102,9 +102,9 @@ class ByteReader {
   /// Reads exactly `n` bytes into `out`; fails without consuming on
   /// underflow.
   bool ReadBytes(size_t n, Buffer* out) {
-    if (remaining() < n) return false;
-    *out = Buffer(bytes_.data() + pos_, n);
-    pos_ += n;
+    ByteSpan bytes;
+    if (!ReadSpan(n, &bytes)) return false;
+    *out = Buffer(bytes.data(), bytes.size());
     return true;
   }
 

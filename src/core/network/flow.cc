@@ -20,12 +20,28 @@ void FlowWriter::Flush() {
   ++batches_;
 }
 
+void SendRecord(NeSocket* socket, ByteSpan record) {
+  Buffer framed;
+  framed.reserve(4 + record.size());
+  framed.AppendU32(static_cast<uint32_t>(record.size()));
+  framed.Append(record);
+  socket->Send(framed.span());
+}
+
 FlowReader::FlowReader(NeSocket* socket, RecordCallback on_record)
-    : on_record_(std::move(on_record)) {
-  socket->SetReceiveCallback([this](ByteSpan data) { OnBytes(data); });
+    : socket_(socket),
+      on_record_(std::move(on_record)),
+      alive_(std::make_shared<bool>(true)) {
+  socket_->SetReceiveCallback([this](ByteSpan data) { OnBytes(data); });
+}
+
+FlowReader::~FlowReader() {
+  *alive_ = false;
+  socket_->SetReceiveCallback(nullptr);
 }
 
 void FlowReader::OnBytes(ByteSpan data) {
+  auto alive = alive_;
   pending_.Append(data);
   size_t consumed = 0;
   for (;;) {
@@ -36,6 +52,7 @@ void FlowReader::OnBytes(ByteSpan data) {
     if (!r.ReadSpan(len, &record)) break;
     ++records_;
     on_record_(record);
+    if (!*alive) return;  // the callback destroyed this reader
     consumed += 4 + len;
   }
   if (consumed > 0) {

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 
 #include "common/buffer.h"
 #include "core/network/network_engine.h"
@@ -43,21 +44,36 @@ class FlowWriter {
   sim::RaceTag race_tag_;
 };
 
+/// Sends one length-framed record in a single NeSocket::Send, so the
+/// record ends a transport segment (MiniTCP cuts one at every Send).
+void SendRecord(NeSocket* socket, ByteSpan record);
+
 /// Receiving half: reassembles length-framed records from the stream.
+/// Takes over the socket's receive callback and unhooks it on
+/// destruction. The record callback may destroy the reader: delivery
+/// stops there, and later bytes on the socket are dropped.
 class FlowReader {
  public:
   using RecordCallback = std::function<void(ByteSpan)>;
 
-  explicit FlowReader(NeSocket* socket, RecordCallback on_record);
+  FlowReader(NeSocket* socket, RecordCallback on_record);
+  ~FlowReader();
+
+  FlowReader(const FlowReader&) = delete;
+  FlowReader& operator=(const FlowReader&) = delete;
 
   uint64_t records_received() const { return records_; }
 
  private:
   void OnBytes(ByteSpan data);
 
+  NeSocket* socket_;
   Buffer pending_;
   RecordCallback on_record_;
   uint64_t records_ = 0;
+  /// Cleared on destruction; OnBytes holds a copy across each record
+  /// callback.
+  std::shared_ptr<bool> alive_;
 };
 
 }  // namespace dpdpu::ne

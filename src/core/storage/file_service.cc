@@ -8,7 +8,7 @@ namespace dpdpu::se {
 namespace cal = hw::cal;
 
 namespace {
-constexpr uint32_t kCachePageBytes = 4096;
+constexpr uint32_t kCachePageBytes = fssub::PageCache::kPageBytes;
 }  // namespace
 
 FileService::FileService(hw::Server* server, fssub::DpuFs* fs,
@@ -37,57 +37,6 @@ void FileService::CreateAsync(
       });
 }
 
-bool FileService::TryServeFromCache(fssub::FileId file, uint64_t offset,
-                                    uint32_t length, Buffer* out) {
-  uint64_t first_page = offset / kCachePageBytes;
-  uint64_t last_page = (offset + length - 1) / kCachePageBytes;
-  Buffer assembled;
-  assembled.reserve(length);
-  for (uint64_t p = first_page; p <= last_page; ++p) {
-    const Buffer* page = cache_->Get({file, p});
-    if (page == nullptr) return false;
-    uint64_t page_base = p * kCachePageBytes;
-    size_t begin = p == first_page ? size_t(offset - page_base) : 0;
-    size_t end = p == last_page
-                     ? size_t(offset + length - page_base)
-                     : page->size();
-    if (end > page->size()) return false;  // partial tail page
-    assembled.Append(page->span().subspan(begin, end - begin));
-  }
-  *out = std::move(assembled);
-  return true;
-}
-
-void FileService::PopulateCache(fssub::FileId file, uint64_t offset,
-                                ByteSpan data) {
-  // Only full, aligned pages enter the cache (partial pages would serve
-  // truncated reads).
-  uint64_t page = offset / kCachePageBytes;
-  size_t skip = size_t(page * kCachePageBytes < offset
-                           ? kCachePageBytes - (offset % kCachePageBytes)
-                           : 0);
-  if (offset % kCachePageBytes != 0) {
-    ++page;
-  }
-  size_t pos = skip;
-  while (pos + kCachePageBytes <= data.size()) {
-    cache_->Put({file, page},
-                Buffer(data.data() + pos, kCachePageBytes));
-    ++page;
-    pos += kCachePageBytes;
-  }
-}
-
-void FileService::InvalidateRange(fssub::FileId file, uint64_t offset,
-                                  size_t length) {
-  if (length == 0) return;
-  uint64_t first_page = offset / kCachePageBytes;
-  uint64_t last_page = (offset + length - 1) / kCachePageBytes;
-  for (uint64_t p = first_page; p <= last_page; ++p) {
-    cache_->Erase({file, p});
-  }
-}
-
 void FileService::ReadAsync(fssub::FileId file, uint64_t offset,
                             uint32_t length, ReadCallback cb) {
   // Request counters: bumped in the caller's event (before the
@@ -101,7 +50,7 @@ void FileService::ReadAsync(fssub::FileId file, uint64_t offset,
       [this, file, offset, length, cb = std::move(cb)]() mutable {
         reactor_.Step();
         Buffer cached;
-        if (length > 0 && TryServeFromCache(file, offset, length, &cached)) {
+        if (cache_->ReadRange(file, offset, length, &cached)) {
           DPDPU_SIM_ACCESS(race_tag_, "FileService", /*key=*/0,
                            sim::AccessKind::kCommutativeWrite);
           ++stats_.cache_hit_reads;
@@ -122,20 +71,16 @@ void FileService::ReadAsync(fssub::FileId file, uint64_t offset,
                           aligned_len, cb = std::move(cb)] {
               server_->pcie().Dma(
                   aligned_len,
-                  [this, file, offset, length, aligned_off,
+                  [this, file, offset, length, aligned_off, aligned_len,
                    cb = std::move(cb)] {
                     reactor_.Step();
-                    uint32_t aligned_len_again = static_cast<uint32_t>(
-                        (offset + length + kCachePageBytes - 1) /
-                            kCachePageBytes * kCachePageBytes -
-                        aligned_off);
                     Result<Buffer> page_data =
-                        fs_->Read(file, aligned_off, aligned_len_again);
+                        fs_->Read(file, aligned_off, aligned_len);
                     if (!page_data.ok()) {
                       cb(std::move(page_data));
                       return;
                     }
-                    PopulateCache(file, aligned_off, page_data->span());
+                    cache_->PutRange(file, aligned_off, page_data->span());
                     // Slice the requested range out of the aligned read
                     // (short when the file ends inside it).
                     size_t skip = static_cast<size_t>(offset - aligned_off);
@@ -162,7 +107,7 @@ void FileService::WriteAsync(fssub::FileId file, uint64_t offset,
       [this, file, offset, data = std::move(data), mode,
        cb = std::move(cb)]() mutable {
         reactor_.Step();
-        InvalidateRange(file, offset, data.size());
+        cache_->EraseRange(file, offset, data.size());
         size_t bytes = data.size();
         hw::SsdDevice* log = server_->dpu_log_device();
         if (mode == PersistMode::kDpuLogAck && log != nullptr) {
@@ -172,15 +117,16 @@ void FileService::WriteAsync(fssub::FileId file, uint64_t offset,
           // Durable on the DPU log -> acknowledge immediately; the SSD
           // write and file-system update drain in the background.
           log->SubmitWrite(
-              bytes, [this, file, offset, data = std::move(data),
+              bytes, [this, file, offset, bytes, data = std::move(data),
                       cb = std::move(cb)]() mutable {
                 reactor_.Step();
                 cb(Status::Ok());
+                // `bytes`, not data.size(): the move-capture below may be
+                // evaluated before this argument.
                 server_->ssd().SubmitWrite(
-                    data.size(),
-                    [this, file, offset, data = std::move(data)] {
+                    bytes, [this, file, offset, data = std::move(data)] {
                       reactor_.Step();
-                      InvalidateRange(file, offset, data.size());
+                      cache_->EraseRange(file, offset, data.size());
                       Status s = fs_->Write(file, offset, data.span());
                       if (!s.ok()) {
                         DPDPU_LOG(Error)
@@ -199,7 +145,7 @@ void FileService::WriteAsync(fssub::FileId file, uint64_t offset,
               // cache with the pre-write block after the submit-time
               // invalidate, and would otherwise serve that stale copy
               // until the next write or eviction.
-              InvalidateRange(file, offset, data.size());
+              cache_->EraseRange(file, offset, data.size());
               cb(fs_->Write(file, offset, data.span()));
             });
       });

@@ -75,11 +75,6 @@ class FileService {
   }
 
  private:
-  bool TryServeFromCache(fssub::FileId file, uint64_t offset,
-                         uint32_t length, Buffer* out);
-  void PopulateCache(fssub::FileId file, uint64_t offset, ByteSpan data);
-  void InvalidateRange(fssub::FileId file, uint64_t offset, size_t length);
-
   hw::Server* server_;
   fssub::DpuFs* fs_;
   std::unique_ptr<fssub::PageCache> cache_;

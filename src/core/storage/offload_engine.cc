@@ -17,40 +17,31 @@ void OffloadEngine::Execute(RemoteRequest request, ReplyFn reply) {
         if (udf_) {
           Result<RemoteRequest> translated = udf_(request);
           if (!translated.ok()) {
-            RemoteResponse resp;
-            resp.tag = request.tag;
-            resp.ok = false;
-            reply(EncodeRemoteResponse(resp));
+            reply(translated.status());
             return;
           }
           request = std::move(translated).value();
         }
-        uint64_t tag = request.tag;
-        switch (request.op) {
-          case RemoteOp::kRead:
-            files_->ReadAsync(
-                request.file, request.offset, request.length,
-                [tag, reply = std::move(reply)](Result<Buffer> data) {
-                  RemoteResponse resp;
-                  resp.tag = tag;
-                  resp.ok = data.ok();
-                  if (data.ok()) resp.data = std::move(data).value();
-                  reply(EncodeRemoteResponse(resp));
-                });
-            break;
-          case RemoteOp::kWrite:
-            files_->WriteAsync(
-                request.file, request.offset, std::move(request.data),
-                persist_mode_,
-                [tag, reply = std::move(reply)](Status s) {
-                  RemoteResponse resp;
-                  resp.tag = tag;
-                  resp.ok = s.ok();
-                  reply(EncodeRemoteResponse(resp));
-                });
-            break;
-        }
+        ServeFileRequest(files_, std::move(request), persist_mode_,
+                         std::move(reply));
       });
+}
+
+void ServeFileRequest(FileService* files, RemoteRequest request,
+                      PersistMode mode, ReplyFn reply) {
+  if (request.op == RemoteOp::kRead) {
+    files->ReadAsync(request.file, request.offset, request.length,
+                     std::move(reply));
+    return;
+  }
+  files->WriteAsync(request.file, request.offset, std::move(request.data),
+                    mode, [reply = std::move(reply)](Status s) {
+                      if (s.ok()) {
+                        reply(Buffer());
+                      } else {
+                        reply(std::move(s));
+                      }
+                    });
 }
 
 }  // namespace dpdpu::se

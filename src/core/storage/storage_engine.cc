@@ -31,7 +31,11 @@ Buffer EncodeRemoteRequest(const RemoteRequest& request) {
   return out;
 }
 
-Result<RemoteRequest> ParseRemoteRequest(ByteSpan payload) {
+// The decoders use trailing return types because simscope's parser skips
+// definitions whose return type ends in `>`; written this way, they and
+// the ByteReader calls they make are covered by the annotation on
+// RemoteStorageClient's per-message handler.
+auto ParseRemoteRequest(ByteSpan payload) -> Result<RemoteRequest> {
   ByteReader r(payload);
   RemoteRequest request;
   uint8_t op;
@@ -76,7 +80,7 @@ Buffer EncodeRemoteResponse(const RemoteResponse& response) {
   return out;
 }
 
-Result<RemoteResponse> ParseRemoteResponse(ByteSpan payload) {
+auto ParseRemoteResponse(ByteSpan payload) -> Result<RemoteResponse> {
   ByteReader r(payload);
   RemoteResponse response;
   uint8_t flags;
@@ -142,10 +146,6 @@ void HostFileClient::Create(
       });
 }
 
-namespace {
-constexpr uint32_t kHostCachePageBytes = 4096;
-}  // namespace
-
 HostFileClient::~HostFileClient() {
   if (host_cache_reservation_ > 0) {
     server_->host_memory().Free(host_cache_reservation_);
@@ -163,47 +163,13 @@ const fssub::PageCacheStats* HostFileClient::host_cache_stats() const {
   return host_cache_ == nullptr ? nullptr : &host_cache_->stats();
 }
 
-bool HostFileClient::TryHostCache(fssub::FileId file, uint64_t offset,
-                                  uint32_t length, Buffer* out) {
-  if (host_cache_ == nullptr || length == 0) return false;
-  uint64_t first = offset / kHostCachePageBytes;
-  uint64_t last = (offset + length - 1) / kHostCachePageBytes;
-  Buffer assembled;
-  assembled.reserve(length);
-  for (uint64_t p = first; p <= last; ++p) {
-    const Buffer* page = host_cache_->Get({file, p});
-    if (page == nullptr) return false;
-    uint64_t base = p * kHostCachePageBytes;
-    size_t begin = p == first ? size_t(offset - base) : 0;
-    size_t end =
-        p == last ? size_t(offset + length - base) : page->size();
-    if (end > page->size()) return false;
-    assembled.Append(page->span().subspan(begin, end - begin));
-  }
-  *out = std::move(assembled);
-  return true;
-}
-
-void HostFileClient::PopulateHostCache(fssub::FileId file, uint64_t offset,
-                                       ByteSpan data) {
-  if (host_cache_ == nullptr) return;
-  uint64_t page = (offset + kHostCachePageBytes - 1) / kHostCachePageBytes;
-  size_t pos = size_t(page * kHostCachePageBytes - offset);
-  while (pos + kHostCachePageBytes <= data.size()) {
-    host_cache_->Put({file, page},
-                     Buffer(data.data() + pos, kHostCachePageBytes));
-    ++page;
-    pos += kHostCachePageBytes;
-  }
-}
-
 void HostFileClient::Read(fssub::FileId file, uint64_t offset,
                           uint32_t length, FileService::ReadCallback cb) {
   // Host-memory cache hits bypass even the ring crossing (a host-local
   // memory copy plus negligible lookup cost).
   Buffer cached;
-  if (path_ == HostIoPath::kDpuOffload &&
-      TryHostCache(file, offset, length, &cached)) {
+  if (path_ == HostIoPath::kDpuOffload && host_cache_ != nullptr &&
+      host_cache_->ReadRange(file, offset, length, &cached)) {
     cb(std::move(cached));
     return;
   }
@@ -236,8 +202,8 @@ void HostFileClient::Read(fssub::FileId file, uint64_t offset,
                         cal::kHostRingPollCycles,
                         [this, file, offset, cb = std::move(cb),
                          data = std::move(data)]() mutable {
-                          if (data.ok()) {
-                            PopulateHostCache(file, offset, data->span());
+                          if (data.ok() && host_cache_ != nullptr) {
+                            host_cache_->PutRange(file, offset, data->span());
                           }
                           cb(std::move(data));
                         });
@@ -248,12 +214,8 @@ void HostFileClient::Read(fssub::FileId file, uint64_t offset,
 
 void HostFileClient::Write(fssub::FileId file, uint64_t offset, Buffer data,
                            FileService::WriteCallback cb) {
-  if (host_cache_ != nullptr && !data.empty()) {
-    uint64_t first = offset / kHostCachePageBytes;
-    uint64_t last = (offset + data.size() - 1) / kHostCachePageBytes;
-    for (uint64_t p = first; p <= last; ++p) {
-      host_cache_->Erase({file, p});
-    }
+  if (host_cache_ != nullptr) {
+    host_cache_->EraseRange(file, offset, data.size());
   }
   if (path_ == HostIoPath::kLinuxBaseline) {
     server_->host_cpu().ExecuteFor(
@@ -291,51 +253,6 @@ void HostFileClient::Write(fssub::FileId file, uint64_t offset, Buffer data,
 }
 
 // ---------------------------------------------------------------------------
-// RequestFramer: per-connection length-framed message handling.
-// ---------------------------------------------------------------------------
-
-class RequestFramer {
- public:
-  using MessageHandler = std::function<void(ByteSpan)>;
-
-  explicit RequestFramer(ne::NeSocket* socket) : socket_(socket) {
-    socket_->SetReceiveCallback([this](ByteSpan data) { OnBytes(data); });
-  }
-
-  void SetHandler(MessageHandler handler) { handler_ = std::move(handler); }
-
-  void Reply(ByteSpan message) {
-    Buffer framed;
-    framed.AppendU32(static_cast<uint32_t>(message.size()));
-    framed.Append(message);
-    socket_->Send(framed.span());
-  }
-
- private:
-  void OnBytes(ByteSpan data) {
-    pending_.Append(data);
-    size_t consumed = 0;
-    for (;;) {
-      ByteReader r(pending_.span().subspan(consumed));
-      uint32_t len;
-      if (!r.ReadU32(&len)) break;
-      ByteSpan message;
-      if (!r.ReadSpan(len, &message)) break;
-      if (handler_) handler_(message);
-      consumed += 4 + len;
-    }
-    if (consumed > 0) {
-      pending_ =
-          Buffer(pending_.data() + consumed, pending_.size() - consumed);
-    }
-  }
-
-  ne::NeSocket* socket_;
-  MessageHandler handler_;
-  Buffer pending_;
-};
-
-// ---------------------------------------------------------------------------
 // StorageEngine.
 // ---------------------------------------------------------------------------
 
@@ -350,141 +267,100 @@ StorageEngine::StorageEngine(hw::Server* server, ne::NetworkEngine* network,
   offload_->SetPersistMode(options.persist_mode);
 }
 
-StorageEngine::~StorageEngine() = default;
-
 void StorageEngine::Serve() {
   network_->Listen(options_.listen_port, [this](ne::NeSocket* socket) {
     // The server endpoint is the DPU itself: requests are classified and
     // (when offloadable) served without a host crossing (Figure 8).
     socket->SetLanding(ne::SocketLanding::kDpu);
-    auto framer = std::make_unique<RequestFramer>(socket);
-    RequestFramer* raw = framer.get();
-    raw->SetHandler([this, raw](ByteSpan message) {
-      Result<RemoteRequest> request = ParseRemoteRequest(message);
-      if (!request.ok()) return;  // malformed request: drop
-      HandleRequest(std::move(request).value(), [raw](Buffer response) {
-        raw->Reply(response.span());
-      });
-    });
-    framers_.push_back(std::move(framer));
+    readers_.push_back(std::make_unique<ne::FlowReader>(
+        socket, [this, socket](ByteSpan message) {
+          Result<RemoteRequest> request = ParseRemoteRequest(message);
+          if (!request.ok()) return;  // malformed request: drop
+          HandleRequest(std::move(request).value(), socket);
+        }));
   });
 }
 
 void StorageEngine::HandleRequest(RemoteRequest request,
-                                  std::function<void(Buffer)> reply) {
-  if (request.flags & kRequestFlagVersioned) {
-    if (request.op == RemoteOp::kWrite) {
-      // Admit through the version map on the DPU-side path. A stale
-      // version (a hint replay or retried write racing a newer write to
-      // the same block) is acknowledged without being applied —
-      // last-writer-wins keeps catch-up idempotent.
-      if (!versions_.Admit(request.file, request.offset,
-                           static_cast<uint32_t>(request.data.size()),
-                           request.version)) {
-        RemoteResponse resp;
-        resp.tag = request.tag;
-        resp.ok = true;
-        resp.has_version = true;
-        resp.version = versions_.Lookup(request.file, request.offset);
-        reply(EncodeRemoteResponse(resp));
-        return;
-      }
-      // The version becomes read-visible only once the data write has
-      // completed (the reply fires after the write-through) — a read
-      // racing the in-flight write must see the old version, or it
-      // would trust a block whose content hasn't landed.
-      uint64_t version = request.version;
-      fssub::FileId wfile = request.file;
-      uint64_t woffset = request.offset;
-      reply = [this, wfile, woffset, version,
-               inner = std::move(reply)](Buffer encoded) {
-        Result<RemoteResponse> resp = ParseRemoteResponse(encoded.span());
-        if (resp.ok() && resp->ok) {
-          versions_.MarkDurable(wfile, woffset, version);
-        }
-        inner(std::move(encoded));
-      };
-    } else {
-      // Stamp the stored block version onto the read response so the
-      // client can detect a stale replica (read-repair backstop).
-      fssub::FileId file = request.file;
-      uint64_t offset = request.offset;
-      reply = [this, file, offset,
-               inner = std::move(reply)](Buffer encoded) {
-        Result<RemoteResponse> resp = ParseRemoteResponse(encoded.span());
-        if (!resp.ok()) {
-          inner(std::move(encoded));
-          return;
-        }
-        resp->has_version = true;
-        resp->version = versions_.Lookup(file, offset);
-        inner(EncodeRemoteResponse(*resp));
-      };
+                                  ne::NeSocket* socket) {
+  const bool versioned = (request.flags & kRequestFlagVersioned) != 0;
+  const bool write = request.op == RemoteOp::kWrite;
+  // Versioned writes are admitted through the version map on the
+  // DPU-side path. A stale version (a hint replay or retried write racing
+  // a newer write to the same block) is acknowledged without being
+  // applied — last-writer-wins keeps catch-up idempotent.
+  const bool stale =
+      versioned && write &&
+      !versions_.Admit(request.file, request.offset,
+                       static_cast<uint32_t>(request.data.size()),
+                       request.version);
+  // The one place a response is built, with the client's tag (a UDF may
+  // rewrite the request it executes).
+  ReplyFn reply = [this, socket, tag = request.tag, file = request.file,
+                   offset = request.offset, version = request.version,
+                   commit = versioned && write && !stale,
+                   stamp = versioned && (!write || stale)](
+                      Result<Buffer> result) {
+    RemoteResponse response;
+    response.tag = tag;
+    response.ok = result.ok();
+    if (result.ok()) response.data = std::move(result).value();
+    // An admitted version becomes read-visible only once its data write
+    // has completed (this reply fires after the write-through): a read
+    // racing the in-flight write must see the old version, or it would
+    // trust a block whose content hasn't landed.
+    if (commit && response.ok) versions_.MarkDurable(file, offset, version);
+    // Reads and stale-write acks carry the stored block version, so the
+    // client can detect a stale replica (read-repair backstop).
+    if (stamp) {
+      response.has_version = true;
+      response.version = versions_.Lookup(file, offset);
     }
+    ne::SendRecord(socket, EncodeRemoteResponse(response).span());
+  };
+  if (stale) {
+    reply(Buffer());
+    return;
   }
-  TrafficDirector::Route route = director_->Classify(request);
-  if (route == TrafficDirector::Route::kDpu) {
+  if (director_->Classify(request) == TrafficDirector::Route::kDpu) {
     offload_->Execute(std::move(request), std::move(reply));
   } else {
     HostFallback(std::move(request), std::move(reply));
   }
 }
 
-void StorageEngine::HostFallback(RemoteRequest request,
-                                 std::function<void(Buffer)> reply) {
-  if (host_handler_) {
-    // The request crosses PCIe to the host application first.
-    server_->pcie().Dma(
-        request.data.size() + 64,
-        [this, request = std::move(request),
-         reply = std::move(reply)]() mutable {
-          host_handler_(std::move(request), std::move(reply));
-        });
-    return;
-  }
-  // Default host fallback: PCIe to host, host storage-stack processing,
-  // then the file operation (still via the unified DPU file system).
+void StorageEngine::HostFallback(RemoteRequest request, ReplyFn reply) {
+  // The request crosses PCIe to the host, and the host's reply crosses
+  // back to the NIC: the extra round trips Figure 8 highlights. Sizes
+  // are read before the move-captures, whose evaluation order against
+  // the other arguments is unspecified.
+  ReplyFn to_nic = [this, reply = std::move(reply)](
+                       Result<Buffer> result) mutable {
+    size_t bytes =
+        kRemoteResponseHeaderBytes + (result.ok() ? result->size() : 0);
+    server_->pcie().Dma(bytes, [reply = std::move(reply),
+                                result = std::move(result)]() mutable {
+      reply(std::move(result));
+    });
+  };
+  size_t bytes = request.data.size() + 64;
   server_->pcie().Dma(
-      request.data.size() + 64,
-      [this, request = std::move(request),
-       reply = std::move(reply)]() mutable {
+      bytes, [this, request = std::move(request),
+              to_nic = std::move(to_nic)]() mutable {
+        if (host_handler_) {
+          host_handler_(std::move(request), std::move(to_nic));
+          return;
+        }
+        // Default: host storage-stack processing, then the file operation
+        // (still via the unified DPU file system).
         server_->host_cpu().ExecuteFor(
             server_->host_cpu().CyclesToTime(
                 cal::kLinuxStorageStackCyclesPerIo),
             [this, request = std::move(request),
-             reply = std::move(reply)]() mutable {
-              uint64_t tag = request.tag;
-              // Host-processed results cross PCIe again on the way back
-              // to the NIC — the extra round trips Figure 8 highlights.
-              auto respond = [this, reply = std::move(reply),
-                              tag](Result<Buffer> data) mutable {
-                RemoteResponse resp;
-                resp.tag = tag;
-                resp.ok = data.ok();
-                if (data.ok()) resp.data = std::move(data).value();
-                Buffer encoded = EncodeRemoteResponse(resp);
-                size_t bytes = encoded.size();
-                server_->pcie().Dma(
-                    bytes, [reply = std::move(reply),
-                            encoded = std::move(encoded)]() mutable {
-                      reply(std::move(encoded));
-                    });
-              };
-              if (request.op == RemoteOp::kRead) {
-                files_->ReadAsync(request.file, request.offset,
-                                  request.length, std::move(respond));
-              } else {
-                files_->WriteAsync(
-                    request.file, request.offset, std::move(request.data),
-                    PersistMode::kWriteThrough,
-                    [respond = std::move(respond)](Status s) mutable {
-                      if (s.ok()) {
-                        respond(Buffer());
-                      } else {
-                        respond(std::move(s));
-                      }
-                    });
-              }
+             to_nic = std::move(to_nic)]() mutable {
+              ServeFileRequest(files_.get(), std::move(request),
+                               PersistMode::kWriteThrough,
+                               std::move(to_nic));
             });
       });
 }
@@ -493,12 +369,22 @@ void StorageEngine::HostFallback(RemoteRequest request,
 // RemoteStorageClient.
 // ---------------------------------------------------------------------------
 
+namespace {
+RemoteResponse FailedResponse(uint64_t tag) {
+  RemoteResponse response;
+  response.tag = tag;
+  response.ok = false;
+  return response;
+}
+}  // namespace
+
 RemoteStorageClient::RemoteStorageClient(ne::NetworkEngine* network,
                                          netsub::NodeId server,
                                          uint16_t port)
-    : sim_(network->simulator()), alive_(std::make_shared<bool>(true)) {
-  socket_ = network->Connect(server, port);
-  socket_->SetReceiveCallback([this](ByteSpan data) { OnResponse(data); });
+    : sim_(network->simulator()),
+      socket_(network->Connect(server, port)),
+      reader_(socket_, [this](ByteSpan message) { OnResponse(message); }),
+      alive_(std::make_shared<bool>(true)) {
   socket_->SetCloseCallback([this, alive = alive_] {
     closed_ = true;
     // Fail pendings from a fresh event so callers may destroy this
@@ -516,7 +402,6 @@ RemoteStorageClient::RemoteStorageClient(ne::NetworkEngine* network,
 
 RemoteStorageClient::~RemoteStorageClient() {
   *alive_ = false;
-  socket_->SetReceiveCallback(nullptr);
   socket_->SetCloseCallback(nullptr);
 }
 
@@ -528,163 +413,104 @@ void RemoteStorageClient::FailAllPending() {
   // Tag order (std::map) keeps the failure dispatch deterministic. The
   // callbacks may re-enter and destroy this client; only locals are
   // touched from here on.
-  for (auto& [tag, cb] : pending) {
-    RemoteResponse resp;
-    resp.tag = tag;
-    resp.ok = false;
-    cb(std::move(resp));
-  }
+  for (auto& [tag, cb] : pending) cb(FailedResponse(tag));
 }
 
-void RemoteStorageClient::SendRequest(RemoteRequest request) {
-  if (closed_) {
-    // The connection is gone; fail this request from a fresh event the
-    // same way the close path fails in-flight ones.
-    uint64_t tag = request.tag;
-    // The alive token guards `this`; zero delay is the point (fail from
-    // a fresh event, like the close path) and the parent edge keeps the
-    // deferred event causally ordered.
-    // simlint:allow(R6): alive-token-guarded, parent-edge-ordered defer
-    sim_->Schedule(0, [this, alive = alive_, tag] {
-      if (!*alive) return;
-      DPDPU_SIM_ACCESS(race_tag_, "RemoteStorageClient", /*key=*/0,
-                       sim::AccessKind::kCommutativeWrite);
-      auto it = pending_.find(tag);
-      if (it == pending_.end()) return;
-      auto cb = std::move(it->second);
-      pending_.erase(it);
-      RemoteResponse resp;
-      resp.tag = tag;
-      resp.ok = false;
-      cb(std::move(resp));
-    });
+void RemoteStorageClient::Issue(RemoteRequest request, ResponseFn done) {
+  // Issue and completion both touch next_tag_/pending_ (see the tag's
+  // header comment); distinct-tag table motion commutes.
+  DPDPU_SIM_ACCESS(race_tag_, "RemoteStorageClient", /*key=*/0,
+                   sim::AccessKind::kCommutativeWrite);
+  request.tag = next_tag_++;
+  pending_[request.tag] = std::move(done);
+  if (!closed_) {
+    ne::SendRecord(socket_, EncodeRemoteRequest(request).span());
     return;
   }
-  Buffer payload = EncodeRemoteRequest(request);
-  Buffer framed;
-  framed.AppendU32(static_cast<uint32_t>(payload.size()));
-  framed.Append(payload.span());
-  socket_->Send(framed.span());
+  // The connection is gone; fail this request from a fresh event the
+  // same way the close path fails in-flight ones.
+  // The alive token guards `this`; zero delay is the point (fail from
+  // a fresh event, like the close path) and the parent edge keeps the
+  // deferred event causally ordered.
+  // simlint:allow(R6): alive-token-guarded, parent-edge-ordered defer
+  sim_->Schedule(0, [this, alive = alive_, tag = request.tag] {
+    if (!*alive) return;
+    DPDPU_SIM_ACCESS(race_tag_, "RemoteStorageClient", /*key=*/0,
+                     sim::AccessKind::kCommutativeWrite);
+    FinishRequest(FailedResponse(tag));
+  });
+}
+
+void RemoteStorageClient::OnResponse(ByteSpan message) {
+  DPDPU_SIM_ACCESS(race_tag_, "RemoteStorageClient", /*key=*/0,
+                   sim::AccessKind::kCommutativeWrite);
+  Result<RemoteResponse> response = ParseRemoteResponse(message);
+  if (response.ok()) FinishRequest(std::move(response).value());
+}
+
+void RemoteStorageClient::FinishRequest(RemoteResponse response) {
+  auto it = pending_.find(response.tag);
+  if (it == pending_.end()) return;
+  ResponseFn done = std::move(it->second);
+  pending_.erase(it);
+  // May drop the owner's last reference to this client (e.g. a catch-up
+  // job completing from inside its own response): no member is touched
+  // after this call.
+  done(std::move(response));
 }
 
 void RemoteStorageClient::Read(fssub::FileId file, uint64_t offset,
                                uint32_t length,
                                std::function<void(Result<Buffer>)> cb,
                                uint8_t flags) {
-  // Issue and completion both touch next_tag_/pending_ (see the tag's
-  // header comment); distinct-tag table motion commutes.
-  DPDPU_SIM_ACCESS(race_tag_, "RemoteStorageClient", /*key=*/0,
-                   sim::AccessKind::kCommutativeWrite);
-  RemoteRequest request;
-  request.tag = next_tag_++;
-  request.op = RemoteOp::kRead;
-  request.file = file;
-  request.offset = offset;
-  request.length = length;
-  request.flags = flags;
-  pending_[request.tag] = [cb = std::move(cb)](RemoteResponse resp) {
-    if (resp.ok) {
-      cb(std::move(resp.data));
-    } else {
-      cb(Status::IoError("remote read failed"));
-    }
-  };
-  SendRequest(std::move(request));
+  Issue({.op = RemoteOp::kRead, .file = file, .offset = offset,
+         .length = length, .flags = flags},
+        [cb = std::move(cb)](RemoteResponse resp) {
+          if (resp.ok) {
+            cb(std::move(resp.data));
+          } else {
+            cb(Status::IoError("remote read failed"));
+          }
+        });
 }
 
 void RemoteStorageClient::Write(fssub::FileId file, uint64_t offset,
                                 Buffer data,
                                 std::function<void(Status)> cb,
                                 uint8_t flags) {
-  DPDPU_SIM_ACCESS(race_tag_, "RemoteStorageClient", /*key=*/0,
-                   sim::AccessKind::kCommutativeWrite);
-  RemoteRequest request;
-  request.tag = next_tag_++;
-  request.op = RemoteOp::kWrite;
-  request.file = file;
-  request.offset = offset;
-  request.data = std::move(data);
-  request.flags = flags;
-  pending_[request.tag] = [cb = std::move(cb)](RemoteResponse resp) {
-    cb(resp.ok ? Status::Ok() : Status::IoError("remote write failed"));
-  };
-  SendRequest(std::move(request));
+  Issue({.op = RemoteOp::kWrite, .file = file, .offset = offset,
+         .data = std::move(data), .flags = flags},
+        [cb = std::move(cb)](RemoteResponse resp) {
+          cb(resp.ok ? Status::Ok() : Status::IoError("remote write failed"));
+        });
 }
 
 void RemoteStorageClient::ReadVersioned(
     fssub::FileId file, uint64_t offset, uint32_t length,
     std::function<void(Result<Buffer>, uint64_t)> cb, uint8_t flags) {
-  DPDPU_SIM_ACCESS(race_tag_, "RemoteStorageClient", /*key=*/0,
-                   sim::AccessKind::kCommutativeWrite);
-  RemoteRequest request;
-  request.tag = next_tag_++;
-  request.op = RemoteOp::kRead;
-  request.file = file;
-  request.offset = offset;
-  request.length = length;
-  request.flags = flags | kRequestFlagVersioned;
-  pending_[request.tag] = [cb = std::move(cb)](RemoteResponse resp) {
-    if (resp.ok) {
-      cb(std::move(resp.data), resp.version);
-    } else {
-      cb(Status::Unavailable("remote read failed"), 0);
-    }
-  };
-  SendRequest(std::move(request));
+  Issue({.op = RemoteOp::kRead, .file = file, .offset = offset,
+         .length = length, .flags = uint8_t(flags | kRequestFlagVersioned)},
+        [cb = std::move(cb)](RemoteResponse resp) {
+          if (resp.ok) {
+            cb(std::move(resp.data), resp.version);
+          } else {
+            cb(Status::Unavailable("remote read failed"), 0);
+          }
+        });
 }
 
 void RemoteStorageClient::WriteVersioned(fssub::FileId file, uint64_t offset,
                                          uint64_t version, Buffer data,
                                          std::function<void(Status)> cb,
                                          uint8_t flags) {
-  DPDPU_SIM_ACCESS(race_tag_, "RemoteStorageClient", /*key=*/0,
-                   sim::AccessKind::kCommutativeWrite);
-  RemoteRequest request;
-  request.tag = next_tag_++;
-  request.op = RemoteOp::kWrite;
-  request.file = file;
-  request.offset = offset;
-  request.data = std::move(data);
-  request.flags = flags | kRequestFlagVersioned;
-  request.version = version;
-  pending_[request.tag] = [cb = std::move(cb)](RemoteResponse resp) {
-    cb(resp.ok ? Status::Ok()
-               : Status::Unavailable("remote write failed"));
-  };
-  SendRequest(std::move(request));
-}
-
-void RemoteStorageClient::OnResponse(ByteSpan data) {
-  DPDPU_SIM_ACCESS(race_tag_, "RemoteStorageClient", /*key=*/0,
-                   sim::AccessKind::kCommutativeWrite);
-  auto alive = alive_;
-  rx_pending_.Append(data);
-  size_t consumed = 0;
-  for (;;) {
-    ByteReader r(rx_pending_.span().subspan(consumed));
-    uint32_t len;
-    if (!r.ReadU32(&len)) break;
-    ByteSpan message;
-    if (!r.ReadSpan(len, &message)) break;
-    Result<RemoteResponse> resp = ParseRemoteResponse(message);
-    consumed += 4 + len;
-    if (!resp.ok()) continue;
-    auto it = pending_.find(resp->tag);
-    if (it != pending_.end()) {
-      auto cb = std::move(it->second);
-      pending_.erase(it);
-      cb(std::move(resp).value());
-      // Destroying the callback may drop the owner's last reference to
-      // this client (e.g. a catch-up job completing from inside its own
-      // response); stop touching members if so.
-      cb = nullptr;
-      if (!*alive) return;
-    }
-  }
-  if (consumed > 0) {
-    rx_pending_ = Buffer(rx_pending_.data() + consumed,
-                         rx_pending_.size() - consumed);
-  }
+  Issue({.op = RemoteOp::kWrite, .file = file, .offset = offset,
+         .data = std::move(data),
+         .flags = uint8_t(flags | kRequestFlagVersioned),
+         .version = version},
+        [cb = std::move(cb)](RemoteResponse resp) {
+          cb(resp.ok ? Status::Ok()
+                     : Status::Unavailable("remote write failed"));
+        });
 }
 
 }  // namespace dpdpu::se

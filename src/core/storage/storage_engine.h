@@ -9,7 +9,9 @@
 //    requests and translates them into file operations executed on the
 //    DPU without host involvement.
 //  * StorageEngine — serves remote requests end to end: NE socket ->
-//    traffic director -> offload engine or host fallback.
+//    traffic director -> offload engine or host fallback -> reply. It is
+//    the only server-side code that knows the response format: the
+//    offload engine and the host path hand back a Result<Buffer>.
 //  * RemoteStorageClient — the compute-node side, issuing requests over
 //    the Network Engine.
 
@@ -25,6 +27,7 @@
 
 #include "common/buffer.h"
 #include "common/result.h"
+#include "core/network/flow.h"
 #include "core/network/network_engine.h"
 #include "sim/simrace.h"
 #include "core/storage/file_service.h"
@@ -45,7 +48,7 @@ struct RemoteRequest {
   fssub::FileId file = 0;
   uint64_t offset = 0;
   uint32_t length = 0;  // read length
-  Buffer data;          // write payload
+  Buffer data{};        // write payload
   /// Application hint the UDF may use for routing (e.g. "log replay
   /// requests must go to the host" — the partial-offload case).
   uint8_t flags = 0;
@@ -77,6 +80,14 @@ struct RemoteResponse {
 
 Buffer EncodeRemoteResponse(const RemoteResponse& response);
 Result<RemoteResponse> ParseRemoteResponse(ByteSpan payload);
+
+/// Encoded size of a response without a version stamp, less its data:
+/// tag (8), flags (1), data length (4).
+inline constexpr uint32_t kRemoteResponseHeaderBytes = 13;
+
+/// What the offload engine and the host path hand back for one request:
+/// the read data (empty for a write), or the error.
+using ReplyFn = std::function<void(Result<Buffer>)>;
 
 // ---------------------------------------------------------------------------
 // Version map (replica consistency).
@@ -170,7 +181,6 @@ class TrafficDirector {
 class OffloadEngine {
  public:
   using Udf = std::function<Result<RemoteRequest>(const RemoteRequest&)>;
-  using ReplyFn = std::function<void(Buffer)>;
 
   OffloadEngine(hw::Server* server, FileService* files)
       : server_(server), files_(files) {}
@@ -180,7 +190,7 @@ class OffloadEngine {
 
   void SetPersistMode(PersistMode mode) { persist_mode_ = mode; }
 
-  /// Parses (UDF) and executes on the DPU, then replies.
+  /// Parses (UDF) and executes on the DPU, then replies with the result.
   void Execute(RemoteRequest request, ReplyFn reply);
 
   uint64_t requests_executed() const { return executed_; }
@@ -195,6 +205,12 @@ class OffloadEngine {
   /// counter commutes across same-timestamp arrivals.
   sim::RaceTag race_tag_;
 };
+
+/// Runs `request`'s file operation on the DPU file service and replies
+/// with the read data (empty data for a write) or the error. The offload
+/// engine and the default host path share it.
+void ServeFileRequest(FileService* files, RemoteRequest request,
+                      PersistMode mode, ReplyFn reply);
 
 // ---------------------------------------------------------------------------
 // Host file client.
@@ -237,11 +253,6 @@ class HostFileClient {
   void set_path(HostIoPath path) { path_ = path; }
 
  private:
-  bool TryHostCache(fssub::FileId file, uint64_t offset, uint32_t length,
-                    Buffer* out);
-  void PopulateHostCache(fssub::FileId file, uint64_t offset,
-                         ByteSpan data);
-
   hw::Server* server_;
   FileService* files_;
   HostIoPath path_;
@@ -261,14 +272,13 @@ struct StorageEngineOptions {
 
 class StorageEngine {
  public:
-  /// Fires when a request routed to the host completes its host-side
-  /// processing; the handler produces the response payload.
-  using HostHandler =
-      std::function<void(RemoteRequest, std::function<void(Buffer)>)>;
+  /// Runs on the host for a request routed there, once the request has
+  /// crossed PCIe; the handler replies with the response data or an
+  /// error, which crosses PCIe back.
+  using HostHandler = std::function<void(RemoteRequest, ReplyFn)>;
 
   StorageEngine(hw::Server* server, ne::NetworkEngine* network,
                 fssub::DpuFs* fs, StorageEngineOptions options = {});
-  ~StorageEngine();  // out of line: RequestFramer is incomplete here
 
   StorageEngine(const StorageEngine&) = delete;
   StorageEngine& operator=(const StorageEngine&) = delete;
@@ -292,10 +302,8 @@ class StorageEngine {
   const VersionMap& versions() const { return versions_; }
 
  private:
-  void HandleRequest(RemoteRequest request,
-                     std::function<void(Buffer)> reply);
-  void HostFallback(RemoteRequest request,
-                    std::function<void(Buffer)> reply);
+  void HandleRequest(RemoteRequest request, ne::NeSocket* socket);
+  void HostFallback(RemoteRequest request, ReplyFn reply);
 
   hw::Server* server_;
   ne::NetworkEngine* network_;
@@ -306,7 +314,7 @@ class StorageEngine {
   std::unique_ptr<OffloadEngine> offload_;
   HostHandler host_handler_;
   VersionMap versions_;
-  std::vector<std::unique_ptr<class RequestFramer>> framers_;
+  std::vector<std::unique_ptr<ne::FlowReader>> readers_;
 };
 
 /// Compute-node client for the remote storage protocol.
@@ -342,20 +350,25 @@ class RemoteStorageClient {
   bool closed() const { return closed_; }
 
  private:
-  void SendRequest(RemoteRequest request);
-  void OnResponse(ByteSpan payload);
+  using ResponseFn = std::function<void(RemoteResponse)>;
+
+  /// Tags `request`, registers `done` under the tag and sends it.
+  void Issue(RemoteRequest request, ResponseFn done);
+  void OnResponse(ByteSpan message);
+  /// Pops the request `response` answers and runs its callback.
+  void FinishRequest(RemoteResponse response);
   void FailAllPending();
 
   sim::Simulator* sim_;
   ne::NeSocket* socket_;
-  Buffer rx_pending_;
+  ne::FlowReader reader_;
   uint64_t next_tag_ = 1;
   bool closed_ = false;
   /// Liveness guard for the deferred close dispatch (the failure
   /// callbacks run from a fresh event so callers may safely destroy
   /// this client from within them).
   std::shared_ptr<bool> alive_;
-  std::map<uint64_t, std::function<void(RemoteResponse)>> pending_;
+  std::map<uint64_t, ResponseFn> pending_;
   /// Tag issue (caller events) and completion (socket receive events)
   /// both touch next_tag_/pending_; tags key the table so insert/erase
   /// of distinct requests commute, and a tag's erase is HB-after its

@@ -94,6 +94,42 @@ void PageCache::EraseFile(uint32_t file) {
   }
 }
 
+bool PageCache::ReadRange(uint32_t file, uint64_t offset, uint32_t length,
+                          Buffer* out) {
+  if (length == 0) return false;
+  uint64_t first = offset / kPageBytes;
+  uint64_t last = (offset + length - 1) / kPageBytes;
+  Buffer assembled;
+  assembled.reserve(length);
+  for (uint64_t p = first; p <= last; ++p) {
+    const Buffer* page = Get({file, p});
+    if (page == nullptr) return false;
+    uint64_t base = p * kPageBytes;
+    size_t begin = p == first ? size_t(offset - base) : 0;
+    size_t end = p == last ? size_t(offset + length - base) : page->size();
+    if (end > page->size()) return false;
+    assembled.Append(page->span().subspan(begin, end - begin));
+  }
+  *out = std::move(assembled);
+  return true;
+}
+
+void PageCache::PutRange(uint32_t file, uint64_t offset, ByteSpan data) {
+  uint64_t page = (offset + kPageBytes - 1) / kPageBytes;
+  size_t pos = size_t(page * kPageBytes - offset);
+  while (pos + kPageBytes <= data.size()) {
+    Put({file, page}, Buffer(data.data() + pos, kPageBytes));
+    ++page;
+    pos += kPageBytes;
+  }
+}
+
+void PageCache::EraseRange(uint32_t file, uint64_t offset, uint64_t length) {
+  if (length == 0) return;
+  uint64_t last = (offset + length - 1) / kPageBytes;
+  for (uint64_t p = offset / kPageBytes; p <= last; ++p) Erase({file, p});
+}
+
 void PageCache::Resize(uint64_t capacity_bytes) {
   capacity_ = capacity_bytes;
   while (used_ > capacity_ && !entries_.empty()) EvictOne();

@@ -55,6 +55,10 @@ struct PageCacheStats {
 /// caching entirely (every lookup misses, nothing is stored).
 class PageCache {
  public:
+  /// Page size of the byte-range operations: page p of a file holds
+  /// bytes [p * kPageBytes, (p + 1) * kPageBytes).
+  static constexpr uint32_t kPageBytes = 4096;
+
   explicit PageCache(uint64_t capacity_bytes)
       : capacity_(capacity_bytes) {}
 
@@ -77,6 +81,23 @@ class PageCache {
 
   /// Drops every page of a file (e.g. on delete).
   void EraseFile(uint32_t file);
+
+  // Byte-range operations over kPageBytes pages.
+
+  /// Assembles [offset, offset + length) from resident pages into `out`.
+  /// Looks the pages up in order and returns false at the first miss or
+  /// short page (so a partial hit counts exactly one miss); false for
+  /// length 0 without a lookup.
+  bool ReadRange(uint32_t file, uint64_t offset, uint32_t length,
+                 Buffer* out);
+
+  /// Caches every whole page of `data`, which holds the bytes starting
+  /// at `offset`. Partial pages at either end stay out: they would
+  /// serve truncated reads.
+  void PutRange(uint32_t file, uint64_t offset, ByteSpan data);
+
+  /// Drops every page overlapping [offset, offset + length).
+  void EraseRange(uint32_t file, uint64_t offset, uint64_t length);
 
   /// Changes capacity, evicting as needed.
   void Resize(uint64_t capacity_bytes);

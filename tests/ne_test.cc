@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/network/flow.h"
 #include "core/network/network_engine.h"
 #include "core/runtime/metrics.h"
@@ -186,6 +187,81 @@ TEST(FlowTest, LargeRecordsSpanBatches) {
   ASSERT_EQ(got_sizes.size(), 2u);
   EXPECT_EQ(got_sizes[0], 100000u);
   EXPECT_EQ(got_sizes[1], 4u);
+}
+
+TEST(FlowTest, RandomlyCutStreamDeliversTheSameRecordsInOrder) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    TwoServers env;
+    Pcg32 rng(seed);
+    std::vector<Buffer> sent, got;
+    Buffer stream;
+    for (int i = 0; i < 200; ++i) {
+      sent.push_back(
+          kern::GenerateRandomBytes(rng.NextBounded(300), rng.Next()));
+      stream.AppendU32(uint32_t(sent.back().size()));
+      stream.Append(sent.back().span());
+    }
+    std::unique_ptr<FlowReader> reader;
+    env.b->Listen(80, [&](NeSocket* s) {
+      reader = std::make_unique<FlowReader>(s, [&](ByteSpan record) {
+        got.emplace_back(record.data(), record.size());
+      });
+    });
+    // Each Send ends a segment, so the reader sees these cuts (and any
+    // further MSS cuts) as its delivery boundaries.
+    NeSocket* client = env.a->Connect(2, 80);
+    for (size_t pos = 0; pos < stream.size();) {
+      size_t n = std::min<size_t>(stream.size() - pos,
+                                  1 + rng.NextBounded(700));
+      client->Send(stream.span().subspan(pos, n));
+      pos += n;
+    }
+    env.sim.Run();
+    EXPECT_EQ(got, sent) << "seed " << seed;
+    EXPECT_EQ(reader->records_received(), sent.size());
+  }
+}
+
+TEST(FlowTest, DestroyedReaderUnhooksItsSocket) {
+  TwoServers env;
+  NeSocket* server_side = nullptr;
+  std::unique_ptr<FlowReader> reader;
+  int delivered = 0;
+  env.b->Listen(80, [&](NeSocket* s) {
+    server_side = s;
+    reader = std::make_unique<FlowReader>(s, [&](ByteSpan) { ++delivered; });
+  });
+  NeSocket* client = env.a->Connect(2, 80);
+  SendRecord(client, Buffer("first").span());
+  env.sim.Run();
+  ASSERT_EQ(delivered, 1);
+  reader.reset();
+  SendRecord(client, Buffer("second").span());
+  env.sim.Run();
+  EXPECT_EQ(delivered, 1);
+  // The socket did receive the late bytes; nothing consumed them.
+  EXPECT_EQ(server_side->bytes_received(), (4u + 5u) + (4u + 6u));
+}
+
+TEST(FlowTest, RecordCallbackMayDestroyTheReader) {
+  TwoServers env;
+  std::unique_ptr<FlowReader> reader;
+  int delivered = 0;
+  env.b->Listen(80, [&](NeSocket* s) {
+    reader = std::make_unique<FlowReader>(s, [&](ByteSpan) {
+      ++delivered;
+      reader.reset();
+    });
+  });
+  NeSocket* client = env.a->Connect(2, 80);
+  // Three records in one Send: the reader dies inside the first and
+  // must not touch its buffer for the other two.
+  FlowWriter writer(client, /*batch_bytes=*/1 << 20);
+  for (int i = 0; i < 3; ++i) writer.Push(Buffer("record").span());
+  writer.Flush();
+  env.sim.Run();
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(reader, nullptr);
 }
 
 // --------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/runtime/metrics.h"
 #include "core/runtime/platform.h"
 #include "core/storage/storage_engine.h"
@@ -149,6 +150,27 @@ TEST(FileServiceTest, DpuLogAckIsFasterThanWriteThrough) {
   EXPECT_EQ(got, data);
 }
 
+TEST(FileServiceTest, DpuLogAckBackgroundWriteTakesFullSsdWriteTime) {
+  SeFixture f;
+  fssub::FileId file = 0;
+  f.files().CreateAsync("t", [&](Result<fssub::FileId> id) { file = *id; });
+  f.sim.Run();
+  constexpr uint32_t kBytes = 1 << 20;
+  Buffer data = kern::GenerateRandomBytes(kBytes, 8);
+  sim::SimTime acked_at = 0;
+  f.files().WriteAsync(file, 0, data, PersistMode::kDpuLogAck,
+                       [&](Status s) {
+                         ASSERT_TRUE(s.ok());
+                         acked_at = f.sim.now();
+                       });
+  f.sim.Run();
+  // The background SSD write starts at the ack and is the last event:
+  // it must hold the device for the whole 1 MB, not a 0-byte write.
+  hw::SsdDevice& ssd = f.platform.server().ssd();
+  EXPECT_EQ(f.sim.now() - acked_at, ssd.OpTime(/*is_write=*/true, kBytes));
+  EXPECT_EQ(f.sim.now() - acked_at, 169'797u);
+}
+
 TEST(HostFileClientTest, OffloadPathSavesHostCycles) {
   auto run = [](HostIoPath path) {
     SeFixture f;
@@ -212,6 +234,14 @@ TEST(ProtocolTest, MalformedRequestRejected) {
   Buffer encoded = EncodeRemoteRequest(request);
   encoded[8] = 99;  // invalid op
   EXPECT_TRUE(ParseRemoteRequest(encoded.span()).status().IsCorruption());
+}
+
+TEST(ProtocolTest, ResponseHeaderBytesMatchTheEncoding) {
+  RemoteResponse resp;
+  resp.tag = 9;
+  resp.data = Buffer("payload");
+  EXPECT_EQ(EncodeRemoteResponse(resp).size(),
+            kRemoteResponseHeaderBytes + resp.data.size());
 }
 
 TEST(ProtocolTest, ResponseRoundTrip) {
@@ -367,13 +397,9 @@ TEST(RemoteStorageTest, CustomHostHandlerReceivesForwards) {
   fssub::FileId file = f.Prepare(Buffer("x").span());
   int host_handled = 0;
   f.server->storage().SetHostHandler(
-      [&](RemoteRequest request, std::function<void(Buffer)> reply) {
+      [&](RemoteRequest, ReplyFn reply) {
         ++host_handled;
-        RemoteResponse resp;
-        resp.tag = request.tag;
-        resp.ok = true;
-        resp.data = Buffer("from-host");
-        reply(EncodeRemoteResponse(resp));
+        reply(Buffer("from-host"));
       });
   RemoteStorageClient rsc(&f.client->network(), 1, 9000);
   Buffer got;
@@ -382,6 +408,141 @@ TEST(RemoteStorageTest, CustomHostHandlerReceivesForwards) {
   f.sim.Run();
   EXPECT_EQ(host_handled, 1);
   EXPECT_EQ(got.ToString(), "from-host");
+}
+
+TEST(RemoteStorageTest, HostHandlerReplyCrossesPcieBack) {
+  RemoteFixture f;
+  fssub::FileId file = f.Prepare(Buffer("x").span());
+  f.server->storage().SetHostHandler(
+      [](RemoteRequest, ReplyFn reply) { reply(Buffer("from-host")); });
+  RemoteStorageClient rsc(&f.client->network(), 1, 9000);
+  hw::PcieLink& pcie = f.server->server().pcie();
+  uint64_t transfers = pcie.transfers();
+  uint64_t bytes = pcie.bytes_moved();
+  std::string got;
+  rsc.Read(file, 0, 1,
+           [&](Result<Buffer> d) { got = d.ok() ? d->ToString() : "error"; },
+           kRequestFlagRequiresHost);
+  f.sim.Run();
+  EXPECT_EQ(got, "from-host");
+  // The request crosses to the host (64 B of header), and the handler's
+  // reply crosses back: 13 B of response header plus 9 B of data.
+  EXPECT_EQ(pcie.transfers() - transfers, 2u);
+  EXPECT_EQ(pcie.bytes_moved() - bytes, 64u + 22u);
+}
+
+TEST(RemoteStorageTest, RequiresHostWriteMovesItsPayloadOverPcie) {
+  RemoteFixture f;
+  fssub::FileId file = f.Prepare(Buffer("seed").span());
+  RemoteStorageClient rsc(&f.client->network(), 1, 9000);
+  hw::PcieLink& pcie = f.server->server().pcie();
+  uint64_t bytes = pcie.bytes_moved();
+  bool wrote = false;
+  rsc.Write(file, 0, kern::GenerateRandomBytes(8192, 4),
+            [&](Status s) { wrote = s.ok(); }, kRequestFlagRequiresHost);
+  f.sim.Run();
+  ASSERT_TRUE(wrote);
+  // 8 KB of payload plus the 64 B request header to the host, then the
+  // 13 B data-less response back.
+  EXPECT_EQ(pcie.bytes_moved() - bytes, 8192u + 64u + 13u);
+}
+
+TEST(RemoteStorageTest, UdfRewritingTheTagStillAnswersTheClient) {
+  RemoteFixture f;
+  Buffer data = kern::GenerateRandomBytes(8192, 17);
+  fssub::FileId file = f.Prepare(data.span());
+  // A UDF that builds a fresh request (tag 0) instead of editing a copy.
+  f.server->storage().offload_engine().SetUdf(
+      [](const RemoteRequest& in) -> Result<RemoteRequest> {
+        RemoteRequest out;
+        out.file = in.file;
+        out.offset = in.offset;
+        out.length = in.length;
+        return out;
+      });
+  RemoteStorageClient rsc(&f.client->network(), 1, 9000);
+  bool served = false;
+  rsc.Read(file, 0, 4096, [&](Result<Buffer> d) {
+    ASSERT_TRUE(d.ok());
+    EXPECT_EQ(std::memcmp(d->data(), data.data(), 4096), 0);
+    served = true;
+  });
+  f.sim.Run();
+  EXPECT_TRUE(served);
+  EXPECT_EQ(rsc.requests_outstanding(), 0u);
+}
+
+// Drives the server with hand-built requests over a raw socket and reads
+// the responses off the wire, so the version stamp itself is checked.
+TEST(RemoteStorageTest, VersionStampsOnTheWire) {
+  RemoteFixture f;
+  fssub::FileId file = f.Prepare(Buffer(size_t{8192}).span());
+  ne::NeSocket* socket = f.client->network().Connect(1, 9000);
+  std::vector<RemoteResponse> responses;
+  ne::FlowReader reader(socket, [&](ByteSpan message) {
+    Result<RemoteResponse> resp = ParseRemoteResponse(message);
+    ASSERT_TRUE(resp.ok());
+    responses.push_back(std::move(resp).value());
+  });
+  auto send = [&](uint64_t tag, RemoteOp op, uint8_t flags,
+                  uint64_t version) {
+    RemoteRequest request;
+    request.tag = tag;
+    request.op = op;
+    request.file = file;
+    request.flags = flags;
+    request.version = version;
+    if (op == RemoteOp::kWrite) {
+      request.data = kern::GenerateRandomBytes(4096, tag);
+    } else {
+      request.length = 4096;
+    }
+    ne::SendRecord(socket, EncodeRemoteRequest(request).span());
+    f.sim.Run();
+  };
+  send(11, RemoteOp::kWrite, kRequestFlagVersioned, 5);  // admitted
+  send(12, RemoteOp::kRead, kRequestFlagVersioned, 0);
+  send(13, RemoteOp::kWrite, kRequestFlagVersioned, 3);  // stale
+  send(14, RemoteOp::kRead, 0, 0);                       // unversioned
+  ASSERT_EQ(responses.size(), 4u);
+  for (size_t i = 0; i < responses.size(); ++i) {
+    EXPECT_EQ(responses[i].tag, 11 + i);
+    EXPECT_TRUE(responses[i].ok);
+  }
+  EXPECT_FALSE(responses[0].has_version)
+      << "an admitted write's ack carries no version";
+  EXPECT_TRUE(responses[1].has_version);
+  EXPECT_EQ(responses[1].version, 5u);
+  EXPECT_EQ(responses[1].data, kern::GenerateRandomBytes(4096, 11));
+  EXPECT_TRUE(responses[2].has_version) << "a stale ack names the winner";
+  EXPECT_EQ(responses[2].version, 5u);
+  EXPECT_FALSE(responses[3].has_version);
+  EXPECT_EQ(responses[3].data, responses[1].data)
+      << "the stale write must not be applied";
+  EXPECT_EQ(f.server->storage().versions().Lookup(file, 0), 5u);
+}
+
+TEST(RemoteStorageTest, ClientMayDestroyItselfInItsCallback) {
+  RemoteFixture f;
+  Buffer data = kern::GenerateRandomBytes(16384, 3);
+  fssub::FileId file = f.Prepare(data.span());
+  auto rsc = std::make_unique<RemoteStorageClient>(&f.client->network(), 1,
+                                                   9000);
+  int first = 0, second = 0;
+  // The 4 KB read finishes first; its callback destroys the client while
+  // the 8 KB read is still in flight. That response then reaches a
+  // socket whose reader is gone and is dropped.
+  rsc->Read(file, 0, 4096, [&](Result<Buffer> d) {
+    EXPECT_TRUE(d.ok());
+    ++first;
+    rsc.reset();
+  });
+  rsc->Read(file, 4096, 8192, [&](Result<Buffer>) { ++second; });
+  f.sim.Run();
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(second, 0);
+  EXPECT_EQ(rsc, nullptr);
+  EXPECT_EQ(f.server->storage().offload_engine().requests_executed(), 2u);
 }
 
 TEST(RemoteStorageTest, UdfTranslatesRequests) {
@@ -564,6 +725,137 @@ TEST(RemoteStorageTest, ReadBeyondFileFailsCleanly) {
   f.sim.Run();
   EXPECT_TRUE(got_short);
   EXPECT_TRUE(got_error);
+}
+
+// --------------------------------------------------------------------------
+// Malformed input: every mutation of a valid message must parse to a
+// value or a Status, never crash (the sanitizer builds check "never").
+// --------------------------------------------------------------------------
+
+RemoteRequest RandomRequest(Pcg32& rng) {
+  RemoteRequest request;
+  request.tag = rng.Next64();
+  request.op = rng.NextBool(0.5) ? RemoteOp::kRead : RemoteOp::kWrite;
+  request.flags = uint8_t(rng.NextBounded(4));
+  request.version = rng.Next64();
+  request.file = rng.Next();
+  request.offset = rng.Next64();
+  request.length = rng.Next();
+  request.data = kern::GenerateRandomBytes(rng.NextBounded(64), rng.Next());
+  return request;
+}
+
+RemoteResponse RandomResponse(Pcg32& rng) {
+  RemoteResponse response;
+  response.tag = rng.Next64();
+  response.ok = rng.NextBool(0.5);
+  response.has_version = rng.NextBool(0.5);
+  response.version = rng.Next64();
+  response.data = kern::GenerateRandomBytes(rng.NextBounded(64), rng.Next());
+  return response;
+}
+
+/// Offset of the data-length field in an encoded message.
+size_t RequestLengthField(const RemoteRequest& r) {
+  return 8 + 1 + 1 + ((r.flags & kRequestFlagVersioned) ? 8 : 0) + 4 + 8 +
+         4;
+}
+size_t ResponseLengthField(const RemoteResponse& r) {
+  return 8 + 1 + (r.has_version ? 8 : 0);
+}
+
+void SetU32(Buffer& b, size_t at, uint32_t v) {
+  for (int i = 0; i < 4; ++i) b[at + i] = uint8_t(v >> (8 * i));
+}
+
+TEST(ProtocolFuzzTest, TruncationIsCorruptionAtEveryLength) {
+  Pcg32 rng(101);
+  for (int i = 0; i < 40; ++i) {
+    Buffer request = EncodeRemoteRequest(RandomRequest(rng));
+    ASSERT_TRUE(ParseRemoteRequest(request.span()).ok());
+    for (size_t n = 0; n < request.size(); ++n) {
+      EXPECT_TRUE(ParseRemoteRequest(request.span().first(n))
+                      .status()
+                      .IsCorruption())
+          << "request cut at " << n << " of " << request.size();
+    }
+    Buffer response = EncodeRemoteResponse(RandomResponse(rng));
+    ASSERT_TRUE(ParseRemoteResponse(response.span()).ok());
+    for (size_t n = 0; n < response.size(); ++n) {
+      EXPECT_TRUE(ParseRemoteResponse(response.span().first(n))
+                      .status()
+                      .IsCorruption())
+          << "response cut at " << n << " of " << response.size();
+    }
+  }
+}
+
+TEST(ProtocolFuzzTest, BitFlipsParseOrFailCleanly) {
+  Pcg32 rng(202);
+  int failed = 0, parsed = 0;
+  for (int i = 0; i < 2000; ++i) {
+    Buffer request = EncodeRemoteRequest(RandomRequest(rng));
+    Buffer response = EncodeRemoteResponse(RandomResponse(rng));
+    for (Buffer* b : {&request, &response}) {
+      int flips = 1 + int(rng.NextBounded(4));
+      for (int k = 0; k < flips; ++k) {
+        uint32_t bit = rng.NextBounded(uint32_t(b->size() * 8));
+        (*b)[bit / 8] ^= uint8_t(1u << (bit % 8));
+      }
+    }
+    Result<RemoteRequest> req = ParseRemoteRequest(request.span());
+    Result<RemoteResponse> resp = ParseRemoteResponse(response.span());
+    for (const Status& s : {req.status(), resp.status()}) {
+      if (s.ok()) {
+        ++parsed;
+      } else {
+        EXPECT_TRUE(s.IsCorruption()) << s;
+        ++failed;
+      }
+    }
+    if (req.ok()) {
+      EXPECT_LE(req->data.size(), request.size());
+    }
+    if (resp.ok()) {
+      EXPECT_LE(resp->data.size(), response.size());
+    }
+  }
+  // Both outcomes occur: flips in payload bytes parse, flips in the
+  // length and flag fields mostly do not.
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(failed, 0);
+}
+
+TEST(ProtocolFuzzTest, CorruptedLengthFieldsNeverOverread) {
+  Pcg32 rng(303);
+  for (int i = 0; i < 500; ++i) {
+    RemoteRequest request = RandomRequest(rng);
+    RemoteResponse response = RandomResponse(rng);
+    Buffer req_bytes = EncodeRemoteRequest(request);
+    Buffer resp_bytes = EncodeRemoteResponse(response);
+    const uint32_t candidates[] = {
+        0, 0xFFFFFFFFu, 0x80000000u, rng.Next(),
+        uint32_t(request.data.size() + 1 + rng.NextBounded(8)),
+        uint32_t(rng.NextBounded(uint32_t(request.data.size()) + 1))};
+    for (uint32_t len : candidates) {
+      SetU32(req_bytes, RequestLengthField(request), len);
+      Result<RemoteRequest> req = ParseRemoteRequest(req_bytes.span());
+      ASSERT_EQ(req.ok(), len <= request.data.size()) << len;
+      if (req.ok()) {
+        EXPECT_EQ(req->data.size(), len);
+      } else {
+        EXPECT_TRUE(req.status().IsCorruption());
+      }
+      SetU32(resp_bytes, ResponseLengthField(response), len);
+      Result<RemoteResponse> resp = ParseRemoteResponse(resp_bytes.span());
+      ASSERT_EQ(resp.ok(), len <= response.data.size()) << len;
+      if (resp.ok()) {
+        EXPECT_EQ(resp->data.size(), len);
+      } else {
+        EXPECT_TRUE(resp.status().IsCorruption());
+      }
+    }
+  }
 }
 
 }  // namespace
