@@ -11,6 +11,17 @@
 
 namespace dpdpu::cluster {
 
+namespace {
+
+/// Watchdog on each catch-up transfer RPC. A request fully acked by TCP
+/// before its target goes dark never stalls the connection, so the
+/// retransmission cap cannot fire — without this bound the transfer
+/// wedges forever waiting for a response that will never come (and its
+/// unreplayed hints leak with it).
+constexpr sim::SimTime kCatchupRpcTimeout = 2 * sim::kMillisecond;
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Version authority.
 // ---------------------------------------------------------------------------
@@ -197,16 +208,13 @@ struct CatchUpJob : std::enable_shared_from_this<CatchUpJob> {
 
   uint64_t step_ = 0;  // bumped when the in-flight RPC completes/times out
 
-  // Watchdog for the RPC about to be issued: a request TCP has fully
-  // acked before its target goes dark never stalls the connection, so
-  // the retransmission cap cannot fire and no response ever arrives.
-  // Without this bound the transfer wedges forever and its unreplayed
-  // hints leak with it. On expiry the wedged connections are dropped
-  // and `resume` continues the job (which re-checks Aborted()).
+  // Watchdog for the RPC about to be issued (kCatchupRpcTimeout). On
+  // expiry the wedged connections are dropped and `resume` continues
+  // the job (which re-checks Aborted()).
   uint64_t ArmWatchdog(std::function<void()> resume) {
     uint64_t seq = ++step_;
     fleet->simulator()->Schedule(
-        cm->options_.catchup_rpc_timeout,
+        kCatchupRpcTimeout,
         [self = shared_from_this(), seq, resume = std::move(resume)] {
           if (self->step_ != seq) return;  // RPC finished in time
           ++self->step_;

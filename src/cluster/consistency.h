@@ -50,12 +50,6 @@ struct ConsistencyOptions {
   /// Bound on queued hints per storage node; overflow abandons the
   /// queue and recovery uses the version-map diff instead.
   uint32_t max_hints_per_node = 1024;
-  /// Watchdog on each catch-up transfer RPC. A request fully acked by
-  /// TCP before its target goes dark never stalls the connection, so
-  /// the retransmission cap cannot fire — without this bound the
-  /// transfer wedges forever waiting for a response that will never
-  /// come (and its unreplayed hints leak with it).
-  uint64_t catchup_rpc_timeout = 2'000'000;  // 2 ms
 };
 
 class ConsistencyManager {

@@ -8,6 +8,13 @@
 
 namespace dpdpu::cluster {
 
+namespace {
+
+/// The one shard file every storage server formats.
+constexpr char kShardFileName[] = "shard";
+
+}  // namespace
+
 Fleet::Fleet(sim::Simulator* sim, FleetSpec spec)
     : sim_(sim), spec_(std::move(spec)) {
   DPDPU_CHECK(spec_.storage_servers >= 1);
@@ -48,7 +55,7 @@ Fleet::Fleet(sim::Simulator* sim, FleetSpec spec)
   }
   for (uint32_t i = 0; i < spec_.storage_servers; ++i) {
     rt::Platform& node = *storage_nodes_[i];
-    auto file = node.fs().Create(spec_.shard_file_name);
+    auto file = node.fs().Create(kShardFileName);
     DPDPU_CHECK(file.ok());
     shard_files_.push_back(*file);
     for (uint64_t off = 0; off < spec_.shard_bytes; off += kChunk) {

@@ -42,7 +42,6 @@ struct FleetSpec {
   /// Every storage server formats one shard file of this size at
   /// construction, filled with seed-deterministic bytes (0 = zero-fill).
   /// Replicated reads work because replicas hold identical shard data.
-  std::string shard_file_name = "shard";
   uint64_t shard_bytes = 32ull << 20;
   uint64_t shard_fill_seed = 1;
 };

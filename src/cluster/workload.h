@@ -128,8 +128,11 @@ class FleetClient {
   /// written from every RPC continuation; all accesses are commutative
   /// — counter bumps and histogram adds — so unordered same-timestamp
   /// completions converge. The per-op protocol fields (Op::generation
-  /// and friends) are NOT under this tag: their interleavings are
-  /// adjudicated by the generation guard, see the allowlist.
+  /// and friends) have no annotation of their own: the generation guard
+  /// adjudicates them (a reply or timer of a superseded attempt compares
+  /// its captured generation and drops out). simscope counts their
+  /// writes covered because the functions making them are called from
+  /// regions that carry this tag's annotations.
   sim::RaceTag race_tag_;
 };
 

@@ -5,6 +5,13 @@
 
 namespace dpdpu::ce {
 
+namespace {
+
+/// DRR quantum of every ASIC admission queue (used under kDrr).
+constexpr uint64_t kDrrQuantumBytes = 64 * 1024;
+
+}  // namespace
+
 ComputeEngine::ComputeEngine(hw::Server* server, KernelRegistry registry,
                              ComputeEngineOptions options)
     : server_(server),
@@ -15,7 +22,7 @@ ComputeEngine::ComputeEngine(hw::Server* server, KernelRegistry registry,
   for (const auto& aspec : server->spec().dpu.accelerators) {
     AsicState state;
     state.queue = std::make_unique<AdmissionQueue>(
-        options_.asic_admission, options_.drr_quantum_bytes);
+        options_.asic_admission, kDrrQuantumBytes);
     asic_state_.emplace(aspec.kind, std::move(state));
   }
 }

@@ -28,7 +28,6 @@ struct ComputeEngineOptions {
   PlacementPolicy policy = PlacementPolicy::kModelBased;
   AdmissionQueue::Discipline asic_admission =
       AdmissionQueue::Discipline::kFcfs;
-  uint64_t drr_quantum_bytes = 64 * 1024;
   /// iPipe-style sproc co-scheduling (Section 5: "schedule not only
   /// sprocs between DPU and host CPUs..."): when the DPU run queue
   /// exceeds the threshold, new sproc invocations migrate to host cores.

@@ -58,7 +58,7 @@ void NeSocket::DeliverToHost(Buffer data) {
   // host-bound ring is running hot, restore when it drains.
   uint32_t ring_capacity = engine_->options().host_rx_ring_bytes;
   if (!window_shrunk_ && ring_occupancy_bytes_ > ring_capacity * 3 / 4) {
-    conn_->SetReceiveWindow(engine_->options().tcp_config.mss);
+    conn_->SetReceiveWindow(netsub::kTcpMss);
     window_shrunk_ = true;
   }
   hw::Server& server = engine_->server();
@@ -79,7 +79,7 @@ void NeSocket::HostConsumed(size_t bytes) {
                                               uint32_t(bytes));
   uint32_t ring_capacity = engine_->options().host_rx_ring_bytes;
   if (window_shrunk_ && ring_occupancy_bytes_ < ring_capacity / 4) {
-    conn_->SetReceiveWindow(engine_->options().tcp_config.rwnd_bytes);
+    conn_->SetReceiveWindow(netsub::kTcpRwndBytes);
     window_shrunk_ = false;
   }
 }
@@ -185,10 +185,7 @@ void NetworkEngine::OnPacket(netsub::Packet packet) {
 
 std::unique_ptr<RdmaEndpoint> NetworkEngine::CreateRdmaEndpoint(
     RdmaPath path, netsub::QueuePair* qp) {
-  if (path == RdmaPath::kNative) {
-    return std::make_unique<NativeRdmaEndpoint>(server_, qp);
-  }
-  return std::make_unique<OffloadedRdmaEndpoint>(server_, qp);
+  return std::make_unique<RdmaEndpoint>(server_, qp, path);
 }
 
 }  // namespace dpdpu::ne

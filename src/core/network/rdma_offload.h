@@ -1,22 +1,26 @@
-// RDMA issue paths (paper Figure 7). Both endpoints drive the same
-// netsub::QueuePair verbs; they differ in who spends which cycles:
+// RDMA issue paths (paper Figure 7). One endpoint drives the same
+// netsub::QueuePair verbs on either path; the paths differ only in
+// where the issue and completion cycles land:
 //
-//  * NativeRdmaEndpoint — the host issues directly: queue-pair spinlock +
-//    memory fences (kRdmaNativeIssueCycles) plus a doorbell MMIO stall
-//    (kRdmaDoorbellStallNs) on a host core per op.
+//  * kNative — the host issues directly: queue-pair spinlock + memory
+//    fences (kRdmaNativeIssueCycles) plus a doorbell MMIO stall
+//    (kRdmaDoorbellStallNs) on a host core per op, then posts at once
+//    and returns the post's status. The host reaps the QP's completion
+//    queue (kRdmaHostCompletionCycles per entry).
 //
-//  * OffloadedRdmaEndpoint — the host writes a descriptor into a
-//    lock-free DMA-able ring (kHostRingSubmitCycles); the NE on the DPU
-//    polls the ring over PCIe and issues the wire op from a DPU core
-//    (kRdmaDpuIssueCycles). Completions travel back through a host-visible
-//    ring (PCIe latency + kHostRingPollCycles at reap time).
+//  * kDpuOffloaded — the host writes a descriptor into a lock-free
+//    DMA-able ring (kHostRingSubmitCycles); the NE on the DPU polls the
+//    ring over PCIe and issues the wire op from a DPU core
+//    (kRdmaDpuIssueCycles). A post that fails there becomes a failed
+//    completion. The DPU DMAs every completion into a host-visible
+//    completion queue (one PCIe latency), which the host reaps at
+//    kHostRingPollCycles per entry.
 
 #ifndef DPDPU_CORE_NETWORK_RDMA_OFFLOAD_H_
 #define DPDPU_CORE_NETWORK_RDMA_OFFLOAD_H_
 
 #include <cstdint>
-#include <deque>
-#include <memory>
+#include <functional>
 
 #include "common/result.h"
 #include "hw/machine.h"
@@ -26,96 +30,49 @@ namespace dpdpu::ne {
 
 enum class RdmaPath : uint8_t { kNative, kDpuOffloaded };
 
-/// Uniform async RDMA issue interface over either path.
+/// Async RDMA issue over either path of Figure 7.
 class RdmaEndpoint {
  public:
-  virtual ~RdmaEndpoint() = default;
+  RdmaEndpoint(hw::Server* server, netsub::QueuePair* qp, RdmaPath path);
 
-  virtual Status Read(uint64_t wr_id, netsub::MrKey local, size_t loff,
-                      netsub::MrKey remote, size_t roff, size_t len) = 0;
-  virtual Status Write(uint64_t wr_id, netsub::MrKey local, size_t loff,
-                       netsub::MrKey remote, size_t roff, size_t len) = 0;
-  virtual Status Send(uint64_t wr_id, ByteSpan data) = 0;
-  virtual Status Recv(uint64_t wr_id, netsub::MrKey local, size_t loff,
-                      size_t capacity) = 0;
+  RdmaEndpoint(const RdmaEndpoint&) = delete;
+  RdmaEndpoint& operator=(const RdmaEndpoint&) = delete;
+
+  Status Read(uint64_t wr_id, netsub::MrKey local, size_t loff,
+              netsub::MrKey remote, size_t roff, size_t len);
+  Status Write(uint64_t wr_id, netsub::MrKey local, size_t loff,
+               netsub::MrKey remote, size_t roff, size_t len);
+  Status Send(uint64_t wr_id, ByteSpan data);
+  Status Recv(uint64_t wr_id, netsub::MrKey local, size_t loff,
+              size_t capacity);
 
   /// Non-blocking completion reap (host-side cost charged per poll that
   /// returns an entry).
-  virtual bool PollCompletion(netsub::RdmaCompletion* out) = 0;
+  bool PollCompletion(netsub::RdmaCompletion* out);
 
   /// Event hook: fires when a completion becomes reapable (so consumers
   /// need not spin-poll inside the simulation).
-  virtual void SetCompletionNotify(std::function<void()> notify) = 0;
-
-  virtual RdmaPath path() const = 0;
-};
-
-/// Host-issued RDMA (the baseline Figure 7 replaces).
-class NativeRdmaEndpoint final : public RdmaEndpoint {
- public:
-  NativeRdmaEndpoint(hw::Server* server, netsub::QueuePair* qp)
-      : server_(server), qp_(qp) {}
-
-  Status Read(uint64_t wr_id, netsub::MrKey local, size_t loff,
-              netsub::MrKey remote, size_t roff, size_t len) override;
-  Status Write(uint64_t wr_id, netsub::MrKey local, size_t loff,
-               netsub::MrKey remote, size_t roff, size_t len) override;
-  Status Send(uint64_t wr_id, ByteSpan data) override;
-  Status Recv(uint64_t wr_id, netsub::MrKey local, size_t loff,
-              size_t capacity) override;
-  bool PollCompletion(netsub::RdmaCompletion* out) override;
-  void SetCompletionNotify(std::function<void()> notify) override {
-    qp_->cq().SetNotify(std::move(notify));
+  void SetCompletionNotify(std::function<void()> notify) {
+    host_cq_->SetNotify(std::move(notify));
   }
-  RdmaPath path() const override { return RdmaPath::kNative; }
+
+  RdmaPath path() const { return path_; }
 
  private:
-  void ChargeIssue();
+  using OpType = netsub::RdmaCompletion::OpType;
+
+  /// The one issue step of every verb; `post` posts it on the QP.
+  template <typename Post>
+  Status Issue(OpType op, uint64_t wr_id, Post post);
 
   hw::Server* server_;
   netsub::QueuePair* qp_;
-};
-
-/// DPU-offloaded issue path (the Figure 7 design).
-class OffloadedRdmaEndpoint final : public RdmaEndpoint {
- public:
-  OffloadedRdmaEndpoint(hw::Server* server, netsub::QueuePair* qp)
-      : server_(server), qp_(qp) {
-    // Completions are staged into the host-visible ring as they arrive.
-    qp_->cq().SetNotify([this] { DrainDeviceCompletions(); });
-  }
-
-  Status Read(uint64_t wr_id, netsub::MrKey local, size_t loff,
-              netsub::MrKey remote, size_t roff, size_t len) override;
-  Status Write(uint64_t wr_id, netsub::MrKey local, size_t loff,
-               netsub::MrKey remote, size_t roff, size_t len) override;
-  Status Send(uint64_t wr_id, ByteSpan data) override;
-  Status Recv(uint64_t wr_id, netsub::MrKey local, size_t loff,
-              size_t capacity) override;
-  bool PollCompletion(netsub::RdmaCompletion* out) override;
-  void SetCompletionNotify(std::function<void()> notify) override {
-    notify_ = std::move(notify);
-  }
-  RdmaPath path() const override { return RdmaPath::kDpuOffloaded; }
-
- private:
-  /// Host ring submit + DPU DMA-poll + DPU issue, then `post` on the QP.
-  void SubmitThroughRing(UniqueFunction post);
-  void DrainDeviceCompletions();
-  /// Single producer-side door into host_completions_ — every stage
-  /// (device-post failure, DMA'ed-back completion) lands here so the
-  /// ring's race annotation lives in exactly one place.
-  void PushCompletion(netsub::RdmaCompletion c);
-
-  hw::Server* server_;
-  netsub::QueuePair* qp_;
-  /// Host-visible completion ring (entries already DMA'ed back).
-  std::deque<netsub::RdmaCompletion> host_completions_;
-  std::function<void()> notify_;
-  /// Pushes arrive from independent DMA events, pops from the host poll
-  /// loop; wr_ids make entries order-free for consumers, so the deque
-  /// motion commutes.
-  sim::RaceTag race_tag_;
+  RdmaPath path_;
+  /// Offloaded path: the host-visible completion ring the DPU DMAs
+  /// completions into.
+  netsub::CompletionQueue ring_;
+  /// Where the host reaps: the QP's queue (native) or ring_.
+  netsub::CompletionQueue* host_cq_;
 };
 
 }  // namespace dpdpu::ne

@@ -10,7 +10,7 @@ Platform::Platform(sim::Simulator* sim, netsub::Network* network,
   server_ = std::make_unique<hw::Server>(sim, options_.server_spec);
 
   device_ = std::make_unique<fssub::MemBlockDevice>(
-      options_.fs_block_size, options_.fs_device_blocks);
+      kFsBlockSize, options_.fs_device_blocks);
   auto fs = fssub::DpuFs::Format(device_.get());
   DPDPU_CHECK(fs.ok());
   fs_ = std::move(fs).value();

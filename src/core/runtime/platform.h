@@ -18,14 +18,17 @@
 
 namespace dpdpu::rt {
 
+/// Block size of every platform's DPU file-system device.
+inline constexpr uint32_t kFsBlockSize = 4096;
+
 struct PlatformOptions {
   hw::ServerSpec server_spec = hw::DefaultServerSpec();
   netsub::NodeId node = 1;
   ne::NetworkEngineOptions network;
   se::StorageEngineOptions storage;
   ce::ComputeEngineOptions compute;
-  /// Backing device geometry for the DPU file system.
-  uint32_t fs_block_size = 4096;
+  /// Backing device size for the DPU file system, in kFsBlockSize
+  /// blocks.
   uint64_t fs_device_blocks = 64 * 1024;  // 256 MB default
 };
 

@@ -31,11 +31,7 @@ Buffer EncodeRemoteRequest(const RemoteRequest& request) {
   return out;
 }
 
-// The decoders use trailing return types because simscope's parser skips
-// definitions whose return type ends in `>`; written this way, they and
-// the ByteReader calls they make are covered by the annotation on
-// RemoteStorageClient's per-message handler.
-auto ParseRemoteRequest(ByteSpan payload) -> Result<RemoteRequest> {
+Result<RemoteRequest> ParseRemoteRequest(ByteSpan payload) {
   ByteReader r(payload);
   RemoteRequest request;
   uint8_t op;
@@ -80,7 +76,7 @@ Buffer EncodeRemoteResponse(const RemoteResponse& response) {
   return out;
 }
 
-auto ParseRemoteResponse(ByteSpan payload) -> Result<RemoteResponse> {
+Result<RemoteResponse> ParseRemoteResponse(ByteSpan payload) {
   ByteReader r(payload);
   RemoteResponse response;
   uint8_t flags;

@@ -57,8 +57,8 @@ TcpConnection::TcpConnection(TcpStack* stack, NodeId remote_node,
       local_port_(local_port),
       remote_port_(remote_port),
       config_(config),
-      rwnd_advertised_(config.rwnd_bytes) {
-  cwnd_ = uint64_t(config_.init_cwnd_segments) * config_.mss;
+      rwnd_advertised_(kTcpRwndBytes) {
+  cwnd_ = uint64_t(kTcpInitCwndSegments) * kTcpMss;
   rto_ = kInitialRto;
   // Sequence space: the SYN occupies [0, 1); data bytes start at seq 1.
   snd_una_ = 0;
@@ -109,7 +109,7 @@ void TcpConnection::Pump() {
     uint64_t boundary =
         message_ends_.empty() ? write_seq_ : message_ends_.front();
     size_t len = static_cast<size_t>(
-        std::min<uint64_t>(uint64_t(config_.mss), boundary - snd_nxt_));
+        std::min<uint64_t>(uint64_t(kTcpMss), boundary - snd_nxt_));
     if (len == 0 || len > remaining_wnd) break;
     SendSegment(snd_nxt_, len, /*retransmission=*/false);
     snd_nxt_ += len;
@@ -228,7 +228,7 @@ void TcpConnection::OnRtoFire(uint64_t generation) {
     return;
   }
   EnterRecovery(/*timeout=*/true);
-  rto_ = std::min(rto_ * 2, config_.rto_max);
+  rto_ = std::min(rto_ * 2, kTcpRtoMax);
 
   if (state_ == State::kSynSent) {
     SendControl(kFlagSyn, 0);
@@ -242,7 +242,7 @@ void TcpConnection::OnRtoFire(uint64_t generation) {
       if (state_ == State::kFinWait) state_ = State::kEstablished;
     }
     timing_ = false;
-    uint64_t end = std::min<uint64_t>(write_seq_, snd_nxt_ + config_.mss);
+    uint64_t end = std::min<uint64_t>(write_seq_, snd_nxt_ + kTcpMss);
     if (end > snd_nxt_) {
       // Retransmit one segment immediately; the rest follows ACK clocking.
       SendSegment(snd_nxt_, static_cast<size_t>(end - snd_nxt_),
@@ -257,8 +257,8 @@ void TcpConnection::OnRtoFire(uint64_t generation) {
 
 void TcpConnection::EnterRecovery(bool timeout) {
   uint64_t flight = snd_nxt_ - snd_una_;
-  ssthresh_ = std::max<uint64_t>(flight / 2, 2ull * config_.mss);
-  cwnd_ = timeout ? config_.mss : ssthresh_;
+  ssthresh_ = std::max<uint64_t>(flight / 2, 2ull * kTcpMss);
+  cwnd_ = timeout ? kTcpMss : ssthresh_;
   dup_acks_ = 0;
 }
 
@@ -275,7 +275,7 @@ void TcpConnection::UpdateRtt(sim::SimTime sample) {
   }
   sim::SimTime rto =
       static_cast<sim::SimTime>(srtt_ns_ + std::max(4 * rttvar_ns_, 1000.0));
-  rto_ = std::clamp(rto, config_.rto_min, config_.rto_max);
+  rto_ = std::clamp(rto, kTcpRtoMin, kTcpRtoMax);
 }
 
 void TcpConnection::HandleAck(uint64_t ack, bool pure_ack) {
@@ -285,9 +285,9 @@ void TcpConnection::HandleAck(uint64_t ack, bool pure_ack) {
     stalled_ = false;  // forward progress resets the retransmission cap
     // Congestion control.
     if (cwnd_ < ssthresh_) {
-      cwnd_ += config_.mss;  // slow start
+      cwnd_ += kTcpMss;  // slow start
     } else {
-      cwnd_ += std::max<uint64_t>(1, uint64_t(config_.mss) * config_.mss /
+      cwnd_ += std::max<uint64_t>(1, uint64_t(kTcpMss) * kTcpMss /
                                          std::max<uint64_t>(cwnd_, 1));
     }
     // RTT sample (Karn-safe).
@@ -331,7 +331,7 @@ void TcpConnection::HandleAck(uint64_t ack, bool pure_ack) {
       EnterRecovery(/*timeout=*/false);
       // Retransmit the first unacked segment.
       uint64_t start = std::max(snd_una_, uint64_t(1));
-      uint64_t end = std::min<uint64_t>(write_seq_, start + config_.mss);
+      uint64_t end = std::min<uint64_t>(write_seq_, start + kTcpMss);
       if (end > start) {
         SendSegment(start, static_cast<size_t>(end - start),
                     /*retransmission=*/true);

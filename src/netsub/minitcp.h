@@ -25,18 +25,19 @@
 
 namespace dpdpu::netsub {
 
+/// Max payload per segment: fits the 4 KB MTU minus headers.
+inline constexpr uint32_t kTcpMss = 4032;
+/// Advertised receive window.
+inline constexpr uint32_t kTcpRwndBytes = 1 << 20;
+inline constexpr uint32_t kTcpInitCwndSegments = 10;
+inline constexpr sim::SimTime kTcpRtoMin = 200 * sim::kMicrosecond;
+inline constexpr sim::SimTime kTcpRtoMax = 100 * sim::kMillisecond;
+
 struct TcpConfig {
-  /// Max payload per segment; default fits the 4 KB MTU minus headers.
-  uint32_t mss = 4032;
-  /// Advertised receive window.
-  uint32_t rwnd_bytes = 1 << 20;
-  uint32_t init_cwnd_segments = 10;
-  sim::SimTime rto_min = 200 * sim::kMicrosecond;
-  sim::SimTime rto_max = 100 * sim::kMillisecond;
   /// Connection abort cap: once retransmissions have made no forward
   /// progress (no new cumulative ACK) for this long, the connection
   /// aborts and fires the close callback, so platforms reap connections
-  /// to dark nodes instead of retransmitting at rto_max forever. The RTO
+  /// to dark nodes instead of retransmitting at kTcpRtoMax forever. The RTO
   /// timer is clamped to the cap deadline during a stall, so the abort
   /// (and the re-steer it triggers in cluster clients) fires at exactly
   /// stall start + cap rather than overshooting by a backoff interval.

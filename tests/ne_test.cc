@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.h"
 #include "core/network/flow.h"
 #include "core/network/network_engine.h"
@@ -97,6 +99,12 @@ TEST(NeTcpTest, ReceiverRingBackpressureShrinksWindow) {
   NetworkEngine c(c_server.get(), &env.net, 3, tight);
   env.net.Attach(3, &c_server->nic_tx(),
                  [&](netsub::Packet p) { c.OnPacket(std::move(p)); });
+  // Every receiver host core is busy for the first 2 ms, so delivered
+  // bytes queue in the host ring and it runs past 3/4 full.
+  hw::CpuCluster& host = c_server->host_cpu();
+  for (uint32_t core = 0; core < host.spec().cores; ++core) {
+    host.ExecuteFor(2 * sim::kMillisecond, UniqueFunction([] {}));
+  }
 
   Buffer sent = kern::GenerateText(1 << 20, {});
   uint64_t received = 0;
@@ -105,7 +113,19 @@ TEST(NeTcpTest, ReceiverRingBackpressureShrinksWindow) {
   });
   NeSocket* client = env.a->Connect(3, 80);
   client->Send(sent.span());
+  // While the host is stalled, the shrunk window holds the sender to
+  // one MSS in flight (without the shrink it has hundreds of KB out).
+  uint64_t max_in_flight = 0;
+  for (sim::SimTime t = 100 * sim::kMicrosecond;
+       t <= 1900 * sim::kMicrosecond; t += 10 * sim::kMicrosecond) {
+    env.sim.ScheduleAt(t, [&] {
+      max_in_flight =
+          std::max(max_in_flight, client->connection()->bytes_unacked());
+    });
+  }
   env.sim.Run();
+  EXPECT_GT(max_in_flight, 0u);
+  EXPECT_LE(max_in_flight, netsub::kTcpMss);
   // All bytes still arrive (flow control throttles, never loses).
   EXPECT_EQ(received, sent.size());
 }
@@ -130,9 +150,9 @@ TEST(FlowTest, RecordsRoundTripWithBatching) {
   std::vector<std::string> sent;
   for (int i = 0; i < 500; ++i) {
     sent.push_back("record-" + std::to_string(i));
-    writer.Push(Buffer(sent.back()).span());
+    ASSERT_TRUE(writer.Push(Buffer(sent.back()).span()).ok());
   }
-  writer.Flush();
+  ASSERT_TRUE(writer.Flush().ok());
   env.sim.Run();
   EXPECT_EQ(got, sent);
   EXPECT_EQ(writer.records_pushed(), 500u);
@@ -160,10 +180,10 @@ TEST(FlowTest, EventDrivenPushesRoundTrip) {
     // Two pushes per timestamp: commutative batching, any order.
     env.sim.Schedule(1000 * (i / 2), [&writer, i] {
       std::string rec = "evt-record-" + std::to_string(i);
-      writer.Push(Buffer(rec).span());
+      EXPECT_TRUE(writer.Push(Buffer(rec).span()).ok());
     });
   }
-  env.sim.Schedule(10000, [&writer] { writer.Flush(); });
+  env.sim.Schedule(10000, [&writer] { EXPECT_TRUE(writer.Flush().ok()); });
   env.sim.Run();
   EXPECT_EQ(got.size(), 8u);
   EXPECT_EQ(writer.records_pushed(), 8u);
@@ -180,9 +200,9 @@ TEST(FlowTest, LargeRecordsSpanBatches) {
   NeSocket* client = env.a->Connect(2, 80);
   FlowWriter writer(client, 1024);
   Buffer big = kern::GenerateRandomBytes(100000, 7);
-  writer.Push(big.span());
-  writer.Push(Buffer("tiny").span());
-  writer.Flush();
+  ASSERT_TRUE(writer.Push(big.span()).ok());
+  ASSERT_TRUE(writer.Push(Buffer("tiny").span()).ok());
+  ASSERT_TRUE(writer.Flush().ok());
   env.sim.Run();
   ASSERT_EQ(got_sizes.size(), 2u);
   EXPECT_EQ(got_sizes[0], 100000u);
@@ -257,8 +277,10 @@ TEST(FlowTest, RecordCallbackMayDestroyTheReader) {
   // Three records in one Send: the reader dies inside the first and
   // must not touch its buffer for the other two.
   FlowWriter writer(client, /*batch_bytes=*/1 << 20);
-  for (int i = 0; i < 3; ++i) writer.Push(Buffer("record").span());
-  writer.Flush();
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(writer.Push(Buffer("record").span()).ok());
+  }
+  ASSERT_TRUE(writer.Flush().ok());
   env.sim.Run();
   EXPECT_EQ(delivered, 1);
   EXPECT_EQ(reader, nullptr);
@@ -336,6 +358,46 @@ TEST(RdmaOffloadTest, OffloadedCompletionsArriveThroughHostRing) {
   EXPECT_EQ(c.wr_id, 7u);
   EXPECT_TRUE(c.ok);
   EXPECT_FALSE(endpoint->PollCompletion(&c));
+}
+
+// Each verb's post fails: the QP is unconnected and the local key
+// unregistered. Native returns the error and queues no completion;
+// offloaded returns Ok and later delivers one failed completion per
+// verb, with its op type and wr_id.
+TEST(RdmaOffloadTest, FailedPostsFollowEachPathsConvention) {
+  using OpType = netsub::RdmaCompletion::OpType;
+  constexpr netsub::MrKey kUnregistered = 999;
+  for (RdmaPath path : {RdmaPath::kNative, RdmaPath::kDpuOffloaded}) {
+    RdmaEnv env;
+    netsub::QueuePair* unconnected = env.a->rdma_nic().CreateQueuePair();
+    auto endpoint = env.a->CreateRdmaEndpoint(path, unconnected);
+    const std::vector<OpType> ops = {OpType::kRead, OpType::kWrite,
+                                     OpType::kSend, OpType::kRecv};
+    std::vector<Status> posts;
+    posts.push_back(endpoint->Read(0, kUnregistered, 0, env.remote, 0, 8));
+    posts.push_back(endpoint->Write(1, kUnregistered, 0, env.remote, 0, 8));
+    posts.push_back(endpoint->Send(2, Buffer("lost").span()));
+    posts.push_back(endpoint->Recv(3, kUnregistered, 0, 64));
+    env.sim.Run();
+    std::vector<netsub::RdmaCompletion> completions;
+    netsub::RdmaCompletion c;
+    while (endpoint->PollCompletion(&c)) completions.push_back(c);
+
+    bool native = path == RdmaPath::kNative;
+    for (const Status& s : posts) EXPECT_EQ(s.ok(), !native);
+    if (native) {
+      EXPECT_TRUE(completions.empty());
+      continue;
+    }
+    ASSERT_EQ(completions.size(), ops.size());
+    std::sort(completions.begin(), completions.end(),
+              [](const auto& x, const auto& y) { return x.wr_id < y.wr_id; });
+    for (size_t i = 0; i < ops.size(); ++i) {
+      EXPECT_EQ(completions[i].wr_id, i);
+      EXPECT_EQ(completions[i].op, ops[i]);
+      EXPECT_FALSE(completions[i].ok);
+    }
+  }
 }
 
 TEST(RdmaOffloadTest, OffloadedReadAndSendRecv) {

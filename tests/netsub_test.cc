@@ -500,8 +500,7 @@ TEST_F(TcpFixture, ReceiveWindowLimitsInFlight) {
   for (int step = 0; step < 200000 && !sim_.empty(); ++step) {
     sim_.Step();
     if (client->established()) {
-      EXPECT_LE(client->bytes_unacked(),
-                8192u + stack_a_->config().mss + 1);
+      EXPECT_LE(client->bytes_unacked(), 8192u + kTcpMss + 1);
     }
   }
 }
@@ -551,7 +550,7 @@ TEST_F(TcpFixture, ManyConcurrentConnections) {
 TEST_F(TcpFixture, RetransmitCapAbortsConnectionToDarkNode) {
   // Establish, then take the peer node down: retransmissions must stop
   // making progress and the cap must abort the connection (firing the
-  // close callback) instead of backing off at rto_max forever.
+  // close callback) instead of backing off at kTcpRtoMax forever.
   TcpConnection* server_conn = nullptr;
   stack_b_->Listen(80, [&](TcpConnection* c) { server_conn = c; });
   TcpConnection* client = stack_a_->Connect(2, 80);
@@ -573,8 +572,7 @@ TEST_F(TcpFixture, RetransmitCapAbortsConnectionToDarkNode) {
   // backoff interval.
   sim::SimTime cap = stack_a_->config().max_retransmit_time;
   EXPECT_GE(cap, sim::SimTime(1));
-  EXPECT_LE(sim_.now() - send_at, cap + stack_a_->config().rto_max +
-            sim::kSecond);
+  EXPECT_LE(sim_.now() - send_at, cap + kTcpRtoMax + sim::kSecond);
   EXPECT_EQ(server_conn->stats().aborts, 0u);
 }
 

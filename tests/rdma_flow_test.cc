@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/network/rdma_flow.h"
+#include "core/network/flow.h"
 #include "core/network/network_engine.h"
 #include "core/runtime/metrics.h"
 #include "kern/textgen.h"
@@ -55,7 +55,7 @@ TEST_P(RdmaFlowPathTest, RecordsRoundTrip) {
                         });
   env.sim.Run();  // allow recv posting to land
 
-  RdmaFlowWriter writer(env.writer_ep.get(), /*batch_bytes=*/1024);
+  FlowWriter writer(env.writer_ep.get(), /*batch_bytes=*/1024);
   std::vector<std::string> sent;
   for (int i = 0; i < 300; ++i) {
     sent.push_back("rec-" + std::to_string(i * 31));
@@ -86,7 +86,7 @@ TEST_P(RdmaFlowPathTest, EventDrivenPushesRoundTrip) {
                         });
   env.sim.Run();  // allow recv posting to land
 
-  RdmaFlowWriter writer(env.writer_ep.get(), /*batch_bytes=*/256);
+  FlowWriter writer(env.writer_ep.get(), /*batch_bytes=*/256);
   for (int i = 0; i < 8; ++i) {
     // Two pushes per timestamp: commutative batching, any order.
     env.sim.Schedule(1000 * (i / 2), [&writer, i] {
@@ -98,6 +98,48 @@ TEST_P(RdmaFlowPathTest, EventDrivenPushesRoundTrip) {
   env.sim.Run();
   EXPECT_EQ(got.size(), 8u);
   EXPECT_EQ(writer.records_pushed(), 8u);
+}
+
+// A record bigger than a slot makes its batch bigger than the slot too
+// (the writer flushes after the record that crosses batch_bytes), so
+// the NIC NACKs that SEND and the receive completes as failed. The
+// reader must repost that slot, or every later batch waits for a slot
+// that never comes back.
+TEST_P(RdmaFlowPathTest, OversizedBatchFailsAloneAndTheFlowGoesOn) {
+  FlowEnv env(GetParam());
+  std::vector<std::string> got;
+  RdmaFlowReader reader(env.reader_ep.get(), &env.b->rdma_nic(),
+                        /*slots=*/2, /*slot_bytes=*/8 * 1024,
+                        [&](ByteSpan r) {
+                          got.emplace_back(
+                              reinterpret_cast<const char*>(r.data()),
+                              r.size());
+                        });
+  env.sim.Run();  // allow recv posting to land
+
+  FlowWriter writer(env.writer_ep.get(), /*batch_bytes=*/4 * 1024);
+  Buffer big = kern::GenerateRandomBytes(16 * 1024, 9);
+  ASSERT_TRUE(writer.Push(big.span()).ok());  // each flushes alone
+  ASSERT_TRUE(writer.Push(big.span()).ok());
+  std::vector<std::string> small;
+  for (int i = 0; i < 5; ++i) {
+    small.push_back("small-" + std::to_string(i));
+    ASSERT_TRUE(writer.Push(Buffer(small.back()).span()).ok());
+    ASSERT_TRUE(writer.Flush().ok());
+  }
+  env.sim.Run();
+
+  EXPECT_EQ(got, small);
+  EXPECT_EQ(reader.batches_received(), 5u);
+  // The two oversized batches show up only as failed SEND completions.
+  int failed_sends = 0, ok_sends = 0;
+  netsub::RdmaCompletion c;
+  while (env.writer_ep->PollCompletion(&c)) {
+    EXPECT_EQ(c.op, netsub::RdmaCompletion::OpType::kSend);
+    ++(c.ok ? ok_sends : failed_sends);
+  }
+  EXPECT_EQ(failed_sends, 2);
+  EXPECT_EQ(ok_sends, 5);
 }
 
 INSTANTIATE_TEST_SUITE_P(BothPaths, RdmaFlowPathTest,
@@ -112,7 +154,7 @@ TEST(RdmaFlowTest, SlotRecyclingHandlesManyBatches) {
                         [&](ByteSpan r) { received_bytes += r.size(); });
   env.sim.Run();
 
-  RdmaFlowWriter writer(env.writer_ep.get(), /*batch_bytes=*/4 * 1024);
+  FlowWriter writer(env.writer_ep.get(), /*batch_bytes=*/4 * 1024);
   Buffer record = kern::GenerateRandomBytes(1000, 5);
   constexpr int kRecords = 200;  // 50 batches through 4 slots
   for (int i = 0; i < kRecords; ++i) {
@@ -134,7 +176,7 @@ TEST(RdmaFlowTest, OffloadedPathCutsSenderHostCost) {
     Buffer record = kern::GenerateRandomBytes(512, 1);
     rt::UtilizationProbe probe(env.a_server.get());
     probe.Start();
-    RdmaFlowWriter writer(env.writer_ep.get(), 16 * 1024);
+    FlowWriter writer(env.writer_ep.get(), 16 * 1024);
     for (int i = 0; i < 2000; ++i) {
       EXPECT_TRUE(writer.Push(record.span()).ok());
     }
@@ -156,7 +198,7 @@ TEST(RdmaFlowTest, LargeRecordsSpanSlotCapacity) {
                         256 * 1024,
                         [&](ByteSpan r) { sizes.push_back(r.size()); });
   env.sim.Run();
-  RdmaFlowWriter writer(env.writer_ep.get(), 32 * 1024);
+  FlowWriter writer(env.writer_ep.get(), 32 * 1024);
   Buffer big = kern::GenerateRandomBytes(100 * 1024, 3);
   ASSERT_TRUE(writer.Push(big.span()).ok());  // > batch: flushes alone
   ASSERT_TRUE(writer.Push(Buffer("small").span()).ok());

@@ -67,7 +67,9 @@ RULES = {
 # event — std:: algorithms and friends. A lambda passed to anything else
 # is assumed deferred (callback registration): in a discrete-event
 # codebase that over-approximation is the sound direction, because extra
-# roots can only *add* fields to the shared set.
+# roots can only *add* fields to the shared set. `Replay` is
+# fssub::Journal::Replay, which calls its callable for each record
+# inline, inside DpuFs::Mount.
 SYNC_CALLEES = frozenset("""
     sort stable_sort nth_element find_if find_if_not remove_if count_if
     any_of all_of none_of for_each transform accumulate reduce
@@ -75,6 +77,7 @@ SYNC_CALLEES = frozenset("""
     max_element minmax_element partition stable_partition
     partition_point generate generate_n iota visit apply erase_if
     unique copy_if replace_if count find remove assert static_assert
+    Replay
 """.split())
 
 # Chain tails that read through to the element rather than naming a
@@ -225,6 +228,14 @@ ANNOT_RE = re.compile(
 RACY_DECL_RE = re.compile(
     r"Racy\s*<[^;>]*>\s*([A-Za-z_]\w*)\s*[{(]\s*\"([^\"]+)\"")
 CALL_RE = re.compile(r"(?<![\w.>])([A-Za-z_]\w*)\s*\(")
+# The declaration head of a definition whose return type ends in `>`,
+# `*` or `&` (`Result<FileId> DpuFs::Create(`, `const Buffer* Get(`):
+# the text from the start of its statement up to the function name.
+RETURN_TYPE_HEAD_RE = re.compile(
+    r"(?:\[\[[^\]]*\]\]\s*)*(?:template\s*<.*>\s*)?"
+    r"(?:(?:static|inline|virtual|constexpr|explicit|friend|extern|const)"
+    r"\s+)*[A-Za-z_][\w:]*\s*(?:<.*>)?\s*(?:const\s*)?[*&]*",
+    re.DOTALL)
 NOT_FIELD_STMT = re.compile(
     r"^\s*(using|typedef|friend|namespace|template|public|private|"
     r"protected|static_assert|enum|return|#)")
@@ -417,7 +428,8 @@ class Frontend:
             prev = stripped[:m.start()].rstrip()
             if prev.endswith((".", "->", "&", "=", "(", ",", "!", "<",
                               ">", "+", "-", "*", "/", "%", "|", "^",
-                              "::", "return")):
+                              "::", "return")) and \
+                    not self._is_return_type_head(prev):
                 continue
             close = _match_paren(stripped, stripped.index("(", m.start()))
             body = self._body_after_signature(stripped, close)
@@ -437,6 +449,21 @@ class Frontend:
             functions.append((qual, cls, line_of(m.start()),
                               (open_idx, end)))
         return functions
+
+    @staticmethod
+    def _is_return_type_head(prev):
+        """True when `prev`, the text before a name followed by `(`, ends
+        in a return type such as `Result<T>`, `const Buffer*` or `T&`
+        that opens its statement. An expression like `a * f(x)` can match
+        too; the body check after the signature then rejects it."""
+        if not prev.endswith((">", "*", "&")) or prev.endswith("->"):
+            return False
+        head = prev[max(prev.rfind(";"), prev.rfind("{"),
+                        prev.rfind("}")) + 1:]
+        head = "\n".join(line for line in head.split("\n")
+                         if not line.lstrip().startswith("#"))
+        head = re.sub(r"^\s*(?:public|private|protected)\s*:", "", head)
+        return RETURN_TYPE_HEAD_RE.fullmatch(head.strip()) is not None
 
     def _body_after_signature(self, stripped, pos):
         """After the closing ')' of a signature: skip qualifiers and a

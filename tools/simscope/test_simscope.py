@@ -253,6 +253,46 @@ void Widget::Prod() {
         self.assertEqual(code, 0, out)
 
 
+def helper_returning(return_type, value):
+    """Two roots reach a write inside a helper whose return type is
+    `return_type`."""
+    return f"""\
+#include "fixture.h"
+{return_type} Widget::Bump() {{
+  count_ += 1;
+  return {value};
+}}
+void Widget::Poke() {{
+  sim_->Schedule(10, [this] {{ Bump(); }});
+}}
+void Widget::Prod() {{
+  sim_->Schedule(20, [this] {{ Bump(); }});
+}}
+"""
+
+
+class ReturnTypeShapeTest(unittest.TestCase):
+    """A definition is found whatever its return type ends in; a parser
+    that takes `Result<T> F(` for an expression loses F's writes."""
+
+    def assert_bump_is_seen(self, return_type, value):
+        code, out = run_scope({"src/fixture.h": WIDGET_H,
+                               "src/fixture.cc": helper_returning(
+                                   return_type, value)})
+        self.assertEqual(code, 1, out)
+        self.assertIn("Widget::count_", out)
+        self.assertIn("Widget::Bump", out)
+
+    def test_template_return_type_is_a_definition(self):
+        self.assert_bump_is_seen("Result<std::pair<int, int>>", "{}")
+
+    def test_pointer_return_type_is_a_definition(self):
+        self.assert_bump_is_seen("const Widget*", "this")
+
+    def test_reference_return_type_is_a_definition(self):
+        self.assert_bump_is_seen("Widget&", "*this")
+
+
 class SuppressionTest(unittest.TestCase):
     def test_inline_allow_with_reason_suppresses(self):
         h = WIDGET_H.replace(
