@@ -14,7 +14,6 @@
 #include "kern/regex.h"
 #include "kern/relational.h"
 #include "kern/textgen.h"
-#include "netsub/ring.h"
 #include "sim/simulator.h"
 
 namespace dpdpu {
@@ -144,30 +143,6 @@ void BM_FilterPage(benchmark::State& state) {
   state.SetItemsProcessed(int64_t(state.iterations()) * state.range(0));
 }
 BENCHMARK(BM_FilterPage)->Arg(1024)->Arg(16384);
-
-void BM_SpscRing(benchmark::State& state) {
-  netsub::SpscRing<uint64_t> ring(1024);
-  uint64_t v = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ring.TryPush(1));
-    benchmark::DoNotOptimize(ring.TryPop(&v));
-    benchmark::DoNotOptimize(v);
-  }
-  state.SetItemsProcessed(int64_t(state.iterations()));
-}
-BENCHMARK(BM_SpscRing);
-
-void BM_MpmcRing(benchmark::State& state) {
-  netsub::MpmcRing<uint64_t> ring(1024);
-  uint64_t v = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ring.TryPush(1));
-    benchmark::DoNotOptimize(ring.TryPop(&v));
-    benchmark::DoNotOptimize(v);
-  }
-  state.SetItemsProcessed(int64_t(state.iterations()));
-}
-BENCHMARK(BM_MpmcRing);
 
 void BM_SimulatorEvents(benchmark::State& state) {
   for (auto _ : state) {

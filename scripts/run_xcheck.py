@@ -42,7 +42,6 @@ TEST_BINARIES = [
     "ne_test",
     "netsub_test",
     "rdma_flow_test",
-    "ring_model_test",
     "rt_test",
     "se_test",
     "sim_test",

@@ -336,9 +336,10 @@ struct CatchUpJob : std::enable_shared_from_this<CatchUpJob> {
         });
   }
 
-  // Any block the authority has committed past what the node durably
-  // holds. Catches hints an earlier aborted transfer consumed without
-  // landing, and unrepaired blocks whose donors have since recovered.
+  // Any block the node replicates that the authority has committed past
+  // what the node durably holds: the whole transfer after a hint overflow,
+  // and each verification round (hints an aborted transfer consumed
+  // without landing, unrepaired blocks whose donors have recovered).
   void BuildLagDiff() {
     const se::VersionMap& local =
         fleet->storage(node_index).storage().versions();
@@ -425,24 +426,14 @@ void ConsistencyManager::CatchUp(uint32_t node_index,
     auto it = hints_.find(node_index);
     if (it != hints_.end()) job->hints = std::move(it->second);
   } else {
-    // Hint queue overflowed while the node was down: diff the authority's
-    // committed versions against the node's VersionMap and copy only the
-    // blocks that are behind. The queued hints are superseded by the
-    // diff and discarded — counted abandoned, never replayed.
+    // Hint queue overflowed while the node was down: copy only the blocks
+    // it replicates that are behind (BuildLagDiff). The queued hints are
+    // superseded by the diff and discarded — counted abandoned, never
+    // replayed.
     ++stats_.hint_overflow_fallbacks;
     auto it = hints_.find(node_index);
     if (it != hints_.end()) stats_.hints_abandoned += it->second.size();
-    const se::VersionMap& local =
-        fleet_->storage(node_index).storage().versions();
-    fssub::FileId file = fleet_->shard_file(node_index);
-    for (const auto& [offset, entry] : authority_) {
-      if (entry.committed == 0) continue;
-      if (local.Lookup(file, offset) < entry.committed) {
-        job->diff.push_back(CatchUpJob::DiffItem{offset, entry.key,
-                                                 entry.length,
-                                                 entry.committed});
-      }
-    }
+    job->BuildLagDiff();
   }
   hints_.erase(node_index);
   overflowed_.erase(node_index);

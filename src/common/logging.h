@@ -1,7 +1,7 @@
 // Minimal leveled logging. Disabled below the compile-time threshold and
 // cheap when the runtime level filters a message out. Not thread-safe by
-// design: DPDPU's simulator is single-threaded; the lock-free rings are the
-// only cross-thread component and they do not log on the hot path.
+// design: DPDPU's simulator is single-threaded; the process-wide compress
+// memo is the only code real threads share, and it does not log.
 
 #ifndef DPDPU_COMMON_LOGGING_H_
 #define DPDPU_COMMON_LOGGING_H_

@@ -31,6 +31,22 @@ size_t WalkRecords(ByteSpan bytes, OnRecord on_record) {
 
 }  // namespace
 
+FlowWriter::FlowWriter(RdmaEndpoint* endpoint, size_t batch_bytes)
+    : endpoint_(endpoint), batch_bytes_(batch_bytes) {
+  endpoint_->SetCompletionNotify([this] { DrainCompletions(); });
+}
+
+FlowWriter::~FlowWriter() {
+  if (endpoint_ != nullptr) endpoint_->SetCompletionNotify(nullptr);
+}
+
+void FlowWriter::DrainCompletions() {
+  netsub::RdmaCompletion c;
+  while (endpoint_->PollCompletion(&c)) {
+    if (!c.ok) ++batches_failed_;
+  }
+}
+
 Status FlowWriter::Push(ByteSpan record) {
   DPDPU_SIM_ACCESS(race_tag_, "FlowWriter", /*key=*/0,
                    sim::AccessKind::kCommutativeWrite);

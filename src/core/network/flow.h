@@ -6,11 +6,11 @@
 //
 // Records are u32-length-framed and batched in host memory. FlowWriter
 // ships each batch through an NE socket (one NeSocket::Send) or an
-// RdmaEndpoint (one two-sided SEND; the offloaded endpoint gives the
-// Figure 7 host-cost profile). FlowReader reassembles records from a
-// socket's byte stream; RdmaFlowReader pre-posts receive slots in a
-// registered memory region and reposts each slot as its receive
-// completes.
+// RdmaEndpoint (one two-sided SEND, whose completion it reaps; the
+// offloaded endpoint gives the Figure 7 host-cost profile). FlowReader
+// reassembles records from a socket's byte stream; RdmaFlowReader
+// pre-posts receive slots in a registered memory region and reposts each
+// slot as its receive completes.
 
 #ifndef DPDPU_CORE_NETWORK_FLOW_H_
 #define DPDPU_CORE_NETWORK_FLOW_H_
@@ -33,8 +33,13 @@ class FlowWriter {
   /// Batches flush automatically once they reach `batch_bytes`.
   explicit FlowWriter(NeSocket* socket, size_t batch_bytes = 64 * 1024)
       : socket_(socket), batch_bytes_(batch_bytes) {}
-  explicit FlowWriter(RdmaEndpoint* endpoint, size_t batch_bytes = 64 * 1024)
-      : endpoint_(endpoint), batch_bytes_(batch_bytes) {}
+  /// Takes over the endpoint's completion notify and reaps each SEND
+  /// completion as it lands; unhooks it on destruction.
+  explicit FlowWriter(RdmaEndpoint* endpoint, size_t batch_bytes = 64 * 1024);
+  ~FlowWriter();
+
+  FlowWriter(const FlowWriter&) = delete;
+  FlowWriter& operator=(const FlowWriter&) = delete;
 
   /// Appends one record to the flow (thread-centric pipelined push).
   Status Push(ByteSpan record);
@@ -45,14 +50,20 @@ class FlowWriter {
 
   uint64_t records_pushed() const { return records_; }
   uint64_t batches_sent() const { return batches_; }
+  /// Sent batches whose SEND completed with an error (the receiver's
+  /// slot was too small); always 0 on a socket.
+  uint64_t batches_failed() const { return batches_failed_; }
 
  private:
+  void DrainCompletions();
+
   NeSocket* socket_ = nullptr;
   RdmaEndpoint* endpoint_ = nullptr;
   size_t batch_bytes_;
   Buffer pending_;
   uint64_t records_ = 0;
   uint64_t batches_ = 0;
+  uint64_t batches_failed_ = 0;
   uint64_t next_wr_ = 1;  // RDMA SEND work-request ids
   /// Same-tick pushes from different completion contexts only permute
   /// batch boundaries, never record bytes — commutative.

@@ -13,6 +13,17 @@ namespace {
 constexpr uint32_t kSuperMagic = 0x44504653;  // "DPFS"
 constexpr uint32_t kVersion = 1;
 
+// Device geometry (layout in dpufs.h). The superblock records the sizes,
+// and Mount refuses a device formatted with any other.
+constexpr uint32_t kMaxInodes = 1024;
+constexpr uint64_t kCheckpointBlocks = 512;
+// Two checkpoint slots; each must hold all metadata.
+constexpr uint64_t kSlotBlocks = kCheckpointBlocks / 2;
+constexpr uint64_t kJournalBlocks = 256;
+constexpr uint64_t kCheckpointStart = 1;
+constexpr uint64_t kJournalStart = kCheckpointStart + kCheckpointBlocks;
+constexpr uint64_t kDataStart = kJournalStart + kJournalBlocks;
+
 // Journal record types.
 constexpr uint8_t kOpCreate = 1;
 constexpr uint8_t kOpDelete = 2;
@@ -26,19 +37,14 @@ DpuFs::DpuFs(BlockDevice* device) : device_(device) {}
 // Geometry and superblock.
 // ---------------------------------------------------------------------------
 
-Status DpuFs::InitGeometry(const DpuFsOptions& options) {
-  options_ = options;
-  checkpoint_start_ = 1;
-  journal_start_ = checkpoint_start_ + options.checkpoint_blocks;
-  data_start_ = journal_start_ + options.journal_blocks;
-  if (data_start_ + 1 >= device_->num_blocks()) {
+Status DpuFs::InitGeometry() {
+  if (kDataStart + 1 >= device_->num_blocks()) {
     return Status::InvalidArgument("dpufs: device too small for layout");
   }
-  data_blocks_ = device_->num_blocks() - data_start_;
-  journal_ = std::make_unique<Journal>(device_, journal_start_,
-                                       options.journal_blocks);
+  data_blocks_ = device_->num_blocks() - kDataStart;
+  journal_ = std::make_unique<Journal>(device_, kJournalStart, kJournalBlocks);
   bitmap_.assign(data_blocks_, false);
-  inodes_.assign(options.max_inodes, Inode{});
+  inodes_.assign(kMaxInodes, Inode{});
   directory_.clear();
   return Status::Ok();
 }
@@ -47,9 +53,9 @@ Status DpuFs::WriteSuperblock(uint64_t checkpoint_seq) {
   Buffer sb;
   sb.AppendU32(kSuperMagic);
   sb.AppendU32(kVersion);
-  sb.AppendU32(options_.max_inodes);
-  sb.AppendU64(options_.journal_blocks);
-  sb.AppendU64(options_.checkpoint_blocks);
+  sb.AppendU32(kMaxInodes);
+  sb.AppendU64(kJournalBlocks);
+  sb.AppendU64(kCheckpointBlocks);
   sb.AppendU64(checkpoint_seq);
   sb.AppendU64(checkpoint_meta_len_);
   sb.AppendU8(active_checkpoint_slot_);
@@ -58,8 +64,7 @@ Status DpuFs::WriteSuperblock(uint64_t checkpoint_seq) {
   return device_->WriteBlock(0, sb.span());
 }
 
-Status DpuFs::LoadSuperblock(DpuFsOptions* options,
-                             uint64_t* checkpoint_seq) {
+Status DpuFs::LoadSuperblock(uint64_t* checkpoint_seq) {
   Buffer block(device_->block_size());
   DPDPU_RETURN_IF_ERROR(device_->ReadBlock(0, block.mutable_span()));
   ByteReader r(block.span());
@@ -70,13 +75,12 @@ Status DpuFs::LoadSuperblock(DpuFsOptions* options,
   if (!r.ReadU32(&version) || version != kVersion) {
     return Status::Corruption("dpufs: unsupported version");
   }
-  uint64_t meta_len;
+  uint32_t max_inodes;
+  uint64_t journal_blocks, checkpoint_blocks, meta_len;
   uint8_t slot;
-  if (!r.ReadU32(&options->max_inodes) ||
-      !r.ReadU64(&options->journal_blocks) ||
-      !r.ReadU64(&options->checkpoint_blocks) ||
-      !r.ReadU64(checkpoint_seq) || !r.ReadU64(&meta_len) ||
-      !r.ReadU8(&slot)) {
+  if (!r.ReadU32(&max_inodes) || !r.ReadU64(&journal_blocks) ||
+      !r.ReadU64(&checkpoint_blocks) || !r.ReadU64(checkpoint_seq) ||
+      !r.ReadU64(&meta_len) || !r.ReadU8(&slot)) {
     return Status::Corruption("dpufs: truncated superblock");
   }
   uint32_t stored_crc;
@@ -86,6 +90,10 @@ Status DpuFs::LoadSuperblock(DpuFsOptions* options,
   size_t crc_end = block.size() - r.remaining() - 4;
   if (kern::Crc32(block.span().subspan(0, crc_end)) != stored_crc) {
     return Status::Corruption("dpufs: superblock crc mismatch");
+  }
+  if (max_inodes != kMaxInodes || journal_blocks != kJournalBlocks ||
+      checkpoint_blocks != kCheckpointBlocks) {
+    return Status::Corruption("dpufs: superblock geometry mismatch");
   }
   checkpoint_meta_len_ = meta_len;
   active_checkpoint_slot_ = slot;
@@ -170,12 +178,11 @@ Status DpuFs::DeserializeMetadata(ByteSpan data) {
 
 Status DpuFs::WriteCheckpointRegion(ByteSpan metadata) {
   uint32_t bs = device_->block_size();
-  uint64_t slot_blocks = options_.checkpoint_blocks / 2;
-  if (metadata.size() > slot_blocks * bs) {
+  if (metadata.size() > kSlotBlocks * bs) {
     return Status::ResourceExhausted("dpufs: checkpoint slot too small");
   }
   uint8_t target_slot = active_checkpoint_slot_ == 0 ? 1 : 0;
-  uint64_t slot_start = checkpoint_start_ + target_slot * slot_blocks;
+  uint64_t slot_start = kCheckpointStart + target_slot * kSlotBlocks;
   Buffer block(bs);
   for (uint64_t b = 0; b * bs < metadata.size(); ++b) {
     size_t n = std::min<size_t>(bs, metadata.size() - b * bs);
@@ -191,9 +198,8 @@ Status DpuFs::WriteCheckpointRegion(ByteSpan metadata) {
 
 Result<Buffer> DpuFs::ReadCheckpointRegion() {
   uint32_t bs = device_->block_size();
-  uint64_t slot_blocks = options_.checkpoint_blocks / 2;
   uint64_t slot_start =
-      checkpoint_start_ + active_checkpoint_slot_ * slot_blocks;
+      kCheckpointStart + active_checkpoint_slot_ * kSlotBlocks;
   Buffer out(checkpoint_meta_len_);
   Buffer block(bs);
   for (uint64_t b = 0; b * bs < out.size(); ++b) {
@@ -223,26 +229,19 @@ Status DpuFs::Checkpoint() {
 // Format and mount.
 // ---------------------------------------------------------------------------
 
-Result<std::unique_ptr<DpuFs>> DpuFs::Format(BlockDevice* device,
-                                             DpuFsOptions options) {
+Result<std::unique_ptr<DpuFs>> DpuFs::Format(BlockDevice* device) {
   auto fs = std::unique_ptr<DpuFs>(new DpuFs(device));
-  DPDPU_RETURN_IF_ERROR(fs->InitGeometry(options));
+  DPDPU_RETURN_IF_ERROR(fs->InitGeometry());
   DPDPU_RETURN_IF_ERROR(fs->Checkpoint());
   return fs;
 }
 
 Result<std::unique_ptr<DpuFs>> DpuFs::Mount(BlockDevice* device) {
   auto fs = std::unique_ptr<DpuFs>(new DpuFs(device));
-  DpuFsOptions options;
   uint64_t checkpoint_seq = 0;
-  DPDPU_RETURN_IF_ERROR(fs->LoadSuperblock(&options, &checkpoint_seq));
-  // LoadSuperblock populated slot/meta_len; InitGeometry resets state, so
-  // stash them across the call.
-  uint64_t meta_len = fs->checkpoint_meta_len_;
-  uint8_t slot = fs->active_checkpoint_slot_;
-  DPDPU_RETURN_IF_ERROR(fs->InitGeometry(options));
-  fs->checkpoint_meta_len_ = meta_len;
-  fs->active_checkpoint_slot_ = slot;
+  // Sets the checkpoint slot and length, which InitGeometry leaves alone.
+  DPDPU_RETURN_IF_ERROR(fs->LoadSuperblock(&checkpoint_seq));
+  DPDPU_RETURN_IF_ERROR(fs->InitGeometry());
 
   DPDPU_ASSIGN_OR_RETURN(Buffer metadata, fs->ReadCheckpointRegion());
   DPDPU_RETURN_IF_ERROR(fs->DeserializeMetadata(metadata.span()));
@@ -263,7 +262,7 @@ Result<std::unique_ptr<DpuFs>> DpuFs::Mount(BlockDevice* device) {
     if (!inode.used) continue;
     for (const Extent& e : inode.extents) {
       for (uint64_t b = 0; b < e.length; ++b) {
-        fs->bitmap_[e.start - fs->data_start_ + b] = true;
+        fs->bitmap_[e.start - kDataStart + b] = true;
       }
     }
   }
@@ -471,7 +470,7 @@ Result<std::vector<Extent>> DpuFs::AllocateBlocks(uint64_t blocks) {
     uint64_t take = std::min(best_len, remaining);
     for (uint64_t i = 0; i < take; ++i) bitmap_[best_start + i] = true;
     stats_.blocks_allocated += take;
-    out.push_back(Extent{data_start_ + best_start,
+    out.push_back(Extent{kDataStart + best_start,
                          static_cast<uint32_t>(take)});
     remaining -= take;
   }
@@ -481,7 +480,7 @@ Result<std::vector<Extent>> DpuFs::AllocateBlocks(uint64_t blocks) {
 void DpuFs::FreeExtents(const std::vector<Extent>& extents) {
   for (const Extent& e : extents) {
     for (uint64_t i = 0; i < e.length; ++i) {
-      bitmap_[e.start - data_start_ + i] = false;
+      bitmap_[e.start - kDataStart + i] = false;
     }
   }
 }

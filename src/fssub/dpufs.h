@@ -36,14 +36,6 @@ struct Extent {
   uint32_t length = 0;  // blocks
 };
 
-struct DpuFsOptions {
-  uint32_t max_inodes = 1024;
-  /// Journal size in blocks.
-  uint64_t journal_blocks = 256;
-  /// Checkpoint region size in blocks (must hold all metadata).
-  uint64_t checkpoint_blocks = 512;
-};
-
 struct DpuFsStats {
   uint64_t journal_appends = 0;
   uint64_t checkpoints = 0;
@@ -58,11 +50,12 @@ struct DpuFsStats {
 class DpuFs {
  public:
   /// Formats the device and returns a mounted instance.
-  static Result<std::unique_ptr<DpuFs>> Format(BlockDevice* device,
-                                               DpuFsOptions options = {});
+  static Result<std::unique_ptr<DpuFs>> Format(BlockDevice* device);
 
   /// Mounts an existing file system: loads the last checkpoint, replays
-  /// the journal, then re-checkpoints (recovery is idempotent).
+  /// the journal, then re-checkpoints (recovery is idempotent). A
+  /// superblock whose recorded geometry differs from this build's is
+  /// Corruption.
   static Result<std::unique_ptr<DpuFs>> Mount(BlockDevice* device);
 
   DpuFs(const DpuFs&) = delete;
@@ -104,8 +97,8 @@ class DpuFs {
 
   explicit DpuFs(BlockDevice* device);
 
-  Status InitGeometry(const DpuFsOptions& options);
-  Status LoadSuperblock(DpuFsOptions* options, uint64_t* checkpoint_seq);
+  Status InitGeometry();
+  Status LoadSuperblock(uint64_t* checkpoint_seq);
   Status WriteSuperblock(uint64_t checkpoint_seq);
   Buffer SerializeMetadata() const;
   Status DeserializeMetadata(ByteSpan data);
@@ -124,10 +117,6 @@ class DpuFs {
   void FreeExtents(const std::vector<Extent>& extents);
 
   BlockDevice* device_;
-  DpuFsOptions options_;
-  uint64_t checkpoint_start_ = 0;
-  uint64_t journal_start_ = 0;
-  uint64_t data_start_ = 0;
   uint64_t data_blocks_ = 0;
   std::unique_ptr<Journal> journal_;
   uint64_t next_seq_ = 1;
@@ -135,7 +124,7 @@ class DpuFs {
   uint64_t checkpoint_meta_len_ = 0;
   uint8_t active_checkpoint_slot_ = 1;  // first checkpoint writes slot 0
 
-  std::vector<bool> bitmap_;  // data-block allocation, index 0 = data_start_
+  std::vector<bool> bitmap_;  // data-block allocation, from the first one
   std::vector<Inode> inodes_;
   std::map<std::string, FileId> directory_;
   DpuFsStats stats_;

@@ -14,8 +14,8 @@ namespace dpdpu::sim {
 namespace {
 
 // Active checker. Written only from simulator event boundaries (the sim
-// is single-threaded); atomic + relaxed so real-thread ring tests can
-// probe it without a TSan report — they always read nullptr.
+// is single-threaded); atomic + relaxed so a thread that runs no
+// simulator can probe it without a TSan report — it always reads nullptr.
 std::atomic<RaceChecker*> g_current{nullptr};
 
 // Provenance ring size (power of two). Bounds checker memory at ~6 MB

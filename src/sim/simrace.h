@@ -11,7 +11,7 @@
 //    event executing when it was scheduled). Components contribute the
 //    happens-before edges the scheduler cannot see: Resource FIFO grant
 //    order, MiniTCP buffered-segment delivery, per-link in-order frame
-//    delivery, ring publish-before-consume (HbToken / HbChain below).
+//    delivery (HbToken / HbChain below).
 //  * Shadow-state access tracking — shared hot structures carry a
 //    RaceTag and annotate reads/writes with DPDPU_SIM_ACCESS; the
 //    checker groups accesses per (object, key) within each timestamp
@@ -62,9 +62,9 @@ struct RaceTag {
 };
 
 /// A happens-before token: names the event that published it. Components
-/// stash one next to handed-off state (a queued job, a buffered segment,
-/// a ring slot) and consume it from the event that picks the state up,
-/// contributing the edge publisher -> consumer to the causal DAG.
+/// stash one next to handed-off state (a queued job, a buffered segment)
+/// and consume it from the event that picks the state up, contributing
+/// the edge publisher -> consumer to the causal DAG.
 struct HbToken {
   uint64_t event = kNoEvent;
 };
@@ -115,8 +115,8 @@ class RaceChecker {
   ~RaceChecker();
 
   /// The checker attached to the currently executing event, or nullptr.
-  /// Atomic so real-thread ring tests may probe it concurrently (they
-  /// always observe nullptr: no simulator event is executing there).
+  /// Atomic so a thread that runs no simulator may probe it without a
+  /// data race; it always observes nullptr.
   static RaceChecker* Current();
 
   // --- Simulator integration ----------------------------------------------

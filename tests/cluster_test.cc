@@ -412,6 +412,49 @@ TEST(ConsistencyTest, HintOverflowFallsBackToVersionMapDiff) {
   EXPECT_EQ(client.stats().failed, 0u);
 }
 
+// With three nodes at replication 2 the authority also holds keys the
+// recovering node does not replicate. The overflow fallback must copy
+// only the blocks the node owns, as hint replay would, and leave no
+// version-map entry for a block its shard never serves.
+TEST(ConsistencyTest, HintOverflowCopiesOnlyOwnedBlocks) {
+  sim::Simulator sim;
+  FleetSpec spec = SmallFleetSpec(3, 1, 2);
+  spec.consistency.enabled = true;
+  spec.consistency.max_hints_per_node = 2;
+  Fleet fleet(&sim, spec);
+  WorkloadOptions wopts = SmallWorkload();
+  FleetClient client(&fleet, 0, wopts);
+
+  constexpr uint64_t kKeys = 30;
+  uint64_t owned = 0;
+  for (uint64_t key = 0; key < kKeys; ++key) {
+    for (netsub::NodeId server :
+         fleet.router().PreferenceList(HashU64(key))) {
+      if (server == fleet.storage_node_id(0)) ++owned;
+    }
+  }
+  ASSERT_EQ(owned, 15u) << "the scenario needs keys node 0 does not own";
+
+  fleet.FailStorageNode(0, FailMode::kGraceful);
+  for (uint64_t key = 0; key < kKeys; ++key) client.IssueWrite(key);
+  sim.Run();
+  EXPECT_TRUE(fleet.consistency().hint_overflowed(0));
+
+  fleet.RecoverStorageNode(0);
+  sim.Run();
+  const ConsistencyManager::Stats& stats = fleet.consistency().stats();
+  EXPECT_EQ(stats.hint_overflow_fallbacks, 1u);
+  EXPECT_EQ(stats.diff_blocks_copied, owned);
+  EXPECT_EQ(stats.diff_bytes, owned * uint64_t(wopts.request_bytes));
+  EXPECT_EQ(stats.diff_blocks_unrepaired, 0u);
+  EXPECT_EQ(fleet.storage(0).storage().versions().size(), owned);
+
+  for (uint64_t key = 0; key < kKeys; ++key) client.IssueRead(key);
+  sim.Run();
+  EXPECT_EQ(client.stats().stale_reads, 0u);
+  EXPECT_EQ(client.stats().failed, 0u);
+}
+
 // Every queued hint must end in exactly one bucket: replayed, abandoned
 // (discarded at the overflow fallback), or still pending. The overflow
 // path used to erase the abandoned queue uncounted, so dropped-at-

@@ -17,6 +17,7 @@
 #include "kern/deflate_tables.h"
 #include "kern/huffman.h"
 #include "kern/textgen.h"
+#include "mutate.h"
 
 namespace dpdpu::kern {
 namespace {
@@ -601,6 +602,42 @@ TEST(InflateTest, BitFlipsHandledGracefully) {
     auto out = DeflateDecompress(mutated.span(), 1 << 22);
     (void)out;
   }
+}
+
+// Seeded mutations (bit flips, truncation, overwritten windows) of valid
+// stored, fixed and dynamic streams: every call returns a Status, and a
+// stream that still decodes stays within the output bound.
+TEST(InflateTest, MutatedStreamsReturnAStatus) {
+  constexpr size_t kMaxOutput = 1 << 20;
+  std::vector<Buffer> streams;
+  for (int level : {1, 6, 9}) {
+    for (const Buffer& input :
+         {GenerateText(6000, {uint64_t(level)}),
+          GenerateRandomBytes(3000, uint64_t(level)), Buffer(size_t{9000}),
+          Buffer("a short fixed-Huffman block")}) {
+      auto compressed = DeflateCompress(input.span(), DeflateOptions{level});
+      ASSERT_TRUE(compressed.ok());
+      streams.push_back(std::move(*compressed));
+    }
+  }
+  Pcg32 rng(2024);
+  int decoded = 0, failed = 0;
+  for (int trial = 0; trial < 10000; ++trial) {
+    Buffer mutated = streams[rng.NextBounded(uint32_t(streams.size()))];
+    Mutate(rng, &mutated);
+    auto out = DeflateDecompress(mutated.span(), kMaxOutput);
+    if (out.ok()) {
+      EXPECT_LE(out->size(), kMaxOutput);
+      ++decoded;
+    } else {
+      EXPECT_TRUE(out.status().IsCorruption() ||
+                  out.status().IsResourceExhausted())
+          << out.status();
+      ++failed;
+    }
+  }
+  EXPECT_GT(decoded, 0);
+  EXPECT_GT(failed, 0);
 }
 
 TEST(LengthSymbolTest, BoundariesMatchRfcTables) {

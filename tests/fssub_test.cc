@@ -14,7 +14,9 @@
 #include "fssub/dpufs.h"
 #include "fssub/journal.h"
 #include "fssub/page_cache.h"
+#include "kern/crc32.h"
 #include "kern/textgen.h"
+#include "mutate.h"
 
 namespace dpdpu::fssub {
 namespace {
@@ -136,6 +138,48 @@ TEST(JournalTest, StaleRecordsFencedBySequence) {
   });
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(seqs, (std::vector<uint64_t>{4}));
+}
+
+// Seeded mutations (bit flips, truncation, overwritten windows) of a
+// journal region on the device: Replay returns a Status and applies
+// exactly a prefix of the appended records, stopping at the damage.
+TEST(JournalTest, CorruptedRegionReplaysAPrefix) {
+  Pcg32 rng(31);
+  int partial = 0;
+  for (int trial = 0; trial < 500; ++trial) {
+    MemBlockDevice dev(kBs, 1);
+    Journal j(&dev, 0, 1);
+    ASSERT_TRUE(j.Reset().ok());
+    std::vector<Buffer> records;
+    while (true) {
+      Buffer payload = kern::GenerateRandomBytes(rng.NextBounded(300),
+                                                 rng.Next64());
+      if (!j.Append(records.size() + 1, payload.span()).ok()) break;
+      records.push_back(std::move(payload));
+    }
+    // Mutate the used bytes and the terminator after them; truncation
+    // zeroes everything past the cut.
+    Buffer block(size_t{kBs});
+    ASSERT_TRUE(dev.ReadBlock(0, block.mutable_span()).ok());
+    Buffer used(block.data(), j.bytes_used() + 4);
+    Mutate(rng, &used);
+    Buffer mutated(size_t{kBs});
+    std::copy(used.data(), used.data() + used.size(), mutated.data());
+    ASSERT_TRUE(dev.WriteBlock(0, mutated.span()).ok());
+
+    Journal reader(&dev, 0, 1);
+    size_t applied = 0;
+    auto n = reader.Replay(1, [&](uint64_t seq, ByteSpan p) {
+      ASSERT_LT(applied, records.size());
+      EXPECT_EQ(seq, applied + 1);
+      EXPECT_EQ(Buffer(p.data(), p.size()), records[applied]);
+      ++applied;
+    });
+    ASSERT_TRUE(n.ok()) << n.status();
+    EXPECT_EQ(*n, applied);
+    if (applied < records.size()) ++partial;
+  }
+  EXPECT_GT(partial, 0);
 }
 
 TEST(JournalTest, FullJournalRejectsAppend) {
@@ -379,6 +423,30 @@ TEST(DpuFsRecoveryTest, TornJournalWriteLosesOnlyTail) {
   DpuFs& fs = **fs_or;
   EXPECT_TRUE(fs.Lookup("committed").ok());
   EXPECT_TRUE(fs.Lookup("lost").status().IsNotFound());
+}
+
+// The geometry is fixed, and the superblock records it: a superblock
+// with a valid CRC whose inode count, journal size or checkpoint size
+// differs is refused, not mounted with a layout it was not written in.
+TEST(DpuFsRecoveryTest, MountRejectsAnotherGeometry) {
+  // Superblock layout: magic, version (u32 each), max_inodes (u32),
+  // journal_blocks, checkpoint_blocks, checkpoint_seq, metadata length
+  // (u64 each), active slot (u8), then a CRC32 of the 45 bytes before it.
+  constexpr size_t kCrcOffset = 45;
+  for (size_t field : {size_t{8}, size_t{12}, size_t{20}}) {
+    auto dev = MakeDevice();
+    ASSERT_TRUE(DpuFs::Format(dev.get()).ok());
+    Buffer sb(size_t{kBs});
+    ASSERT_TRUE(dev->ReadBlock(0, sb.mutable_span()).ok());
+    sb[field] ^= 1;
+    uint32_t crc = kern::Crc32(sb.span().first(kCrcOffset));
+    for (size_t i = 0; i < 4; ++i) {
+      sb[kCrcOffset + i] = uint8_t(crc >> (8 * i));
+    }
+    ASSERT_TRUE(dev->WriteBlock(0, sb.span()).ok());
+    EXPECT_TRUE(DpuFs::Mount(dev.get()).status().IsCorruption())
+        << "field at byte " << field;
+  }
 }
 
 // Property sweep: crash after K device writes, for K across the whole

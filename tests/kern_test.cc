@@ -14,6 +14,7 @@
 #include "kern/regex.h"
 #include "kern/relational.h"
 #include "kern/textgen.h"
+#include "mutate.h"
 
 namespace dpdpu::kern {
 namespace {
@@ -397,6 +398,38 @@ TEST(RegexTest, DfaAgreesWithVmWhenStateCacheOverflows) {
   }
   EXPECT_EQ(re->CountMatches(text), segments);
   ExpectAgreesWithVm(*re, text);
+}
+
+// Seeded mutations (bit flips, truncation, windows overwritten with regex
+// syntax) of valid patterns: Compile returns a Status, and a pattern
+// that still compiles counts its matches in a bounded text.
+TEST(RegexTest, MutatedPatternsReturnAStatus) {
+  static const char* const kPatterns[] = {
+      "a(b|c)*d",           "[a-z]+@[a-z]+\\.com", "^foo$",
+      "a{2,5}b{3}c{1,}",    "(ab)+|c?d*",          "[^0-9]*x",
+      "\\d+\\.\\d*\\s\\w",  "[]a-c\\]]+",          "(a|b)*a(a|b){4}c",
+      "((a|)|b?)*.{0,3}$"};
+  const std::string_view kSyntax = "()[]{}*+?|^$\\.-,0123456789abcdsw";
+  std::string text;
+  Pcg32 rng(77);
+  for (int i = 0; i < 256; ++i) {
+    text += "abcdxyz019 .@()[]\n"[rng.NextBounded(18)];
+  }
+  int compiled = 0, rejected = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    std::string pattern = kPatterns[rng.NextBounded(std::size(kPatterns))];
+    Mutate(rng, &pattern, kSyntax);
+    auto re = Regex::Compile(pattern);
+    if (re.ok()) {
+      EXPECT_LE(re->CountMatches(text), text.size() + 1) << pattern;
+      ++compiled;
+    } else {
+      EXPECT_TRUE(re.status().IsInvalidArgument()) << pattern;
+      ++rejected;
+    }
+  }
+  EXPECT_GT(compiled, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 // --------------------------------------------------------------------------

@@ -153,6 +153,7 @@ bool HiddenFromSampledPolicies(const char* label, const Scenario& scenario) {
   bool all_hidden = true;
   for (const Policy& p : kSampledPolicies) {
     Simulator sim;
+    sim.DisableRaceCheck();  // the planted races would abort under env/Debug
     sim.SetTieBreak(p.policy, p.seed);
     ScenarioResult r = scenario(sim);
     std::printf("  %-10s %-9s : %s\n", label, p.name,
