@@ -157,23 +157,6 @@ void BM_SimulatorEvents(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorEvents);
 
-void BM_PeriodicTaskTicks(benchmark::State& state) {
-  // Steady-state periodic sampling: exercises the once-wrapped callback
-  // path (per tick, one shared_ptr-sized closure in the SBO buffer).
-  for (auto _ : state) {
-    sim::Simulator sim;
-    sim::PeriodicTask task;
-    uint64_t ticks = 0;
-    task.Start(&sim, 10, [&] {
-      if (++ticks == 1000) task.Cancel();
-    });
-    sim.Run();
-    benchmark::DoNotOptimize(ticks);
-  }
-  state.SetItemsProcessed(int64_t(state.iterations()) * 1000);
-}
-BENCHMARK(BM_PeriodicTaskTicks);
-
 // One event of BM_SimulatorDeepHeap: owns a Buffer, as Network::Send's
 // Packet capture does, so moving the closure is not a trivial copy. It
 // reschedules itself as one of four closure types at a pseudo-random

@@ -67,7 +67,7 @@ WALL_THROUGHPUT_UNITS = {"events_per_sec", "bytes_per_second",
 # Micro-kernel benches gated in CI; a filter keeps the job fast.
 MICRO_FILTER = ("BM_Crc32|BM_DeflateCompress|BM_DeflateDecompress|"
                 "BM_HuffmanDecode|BM_RegexCount|BM_SimulatorEvents|"
-                "BM_PeriodicTaskTicks|BM_SimulatorDeepHeap")
+                "BM_SimulatorDeepHeap")
 
 # The run matrix's tie-break policies. The first is the default order and
 # the one checked against the baseline; the others must reproduce it.

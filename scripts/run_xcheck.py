@@ -41,7 +41,6 @@ TEST_BINARIES = [
     "kern_test",
     "ne_test",
     "netsub_test",
-    "rdma_flow_test",
     "rt_test",
     "se_test",
     "sim_test",

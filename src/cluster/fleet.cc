@@ -141,22 +141,4 @@ FleetUsage Fleet::Usage() const {
   return usage;
 }
 
-void Fleet::SampleStorageCoresEvery(sim::SimTime interval) {
-  timeline_.clear();
-  sample_interval_ = interval;
-  sample_prev_busy_ = 0;
-  for (auto& node : storage_nodes_) {
-    sample_prev_busy_ += node->server().host_cpu().resource().busy_time();
-  }
-  sampler_.Start(sim_, interval, [this] {
-    sim::SimTime busy = 0;
-    for (auto& node : storage_nodes_) {
-      busy += node->server().host_cpu().resource().busy_time();
-    }
-    timeline_.push_back(double(busy - sample_prev_busy_) /
-                        double(sample_interval_));
-    sample_prev_busy_ = busy;
-  });
-}
-
 }  // namespace dpdpu::cluster

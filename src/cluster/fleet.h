@@ -148,17 +148,6 @@ class Fleet {
     return storage_probes_.at(i);
   }
 
-  /// Samples aggregate storage-host cores every `interval` ns into a
-  /// timeline (one value per interval) until StopSampling(); shows
-  /// re-steering around failures. While sampling is active the event
-  /// queue is never empty — stop it from a scheduled event, or drive
-  /// the simulator with RunFor/RunUntil instead of Run().
-  void SampleStorageCoresEvery(sim::SimTime interval);
-  void StopSampling() { sampler_.Cancel(); }
-  const std::vector<double>& storage_host_core_timeline() const {
-    return timeline_;
-  }
-
  private:
   sim::Simulator* sim_;
   FleetSpec spec_;
@@ -179,11 +168,6 @@ class Fleet {
   std::vector<rt::UtilizationProbe> client_probes_;
   uint64_t probe_fabric_bytes_start_ = 0;
   uint64_t probe_fabric_bytes_stop_ = 0;
-
-  sim::PeriodicTask sampler_;
-  sim::SimTime sample_prev_busy_ = 0;
-  sim::SimTime sample_interval_ = 0;
-  std::vector<double> timeline_;
 };
 
 }  // namespace dpdpu::cluster

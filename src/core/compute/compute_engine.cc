@@ -231,24 +231,6 @@ Status ComputeEngine::InvokeSproc(const std::string& name) {
   ++sprocs_invoked_;
   // The sproc body runs on a DPU CPU core; charge the dispatch. The
   // context is engine-owned so async continuations may reference it.
-  // With migration enabled, a backlogged DPU run queue pushes new
-  // invocations to host cores (iPipe-style load migration), paying one
-  // PCIe crossing for the invocation context.
-  if (options_.sproc_migration &&
-      server_->dpu_cpu().resource().queue_length() >
-          options_.sproc_migration_queue_threshold) {
-    ++sprocs_migrated_;
-    // The engine and its sproc table belong to the server, which
-    // outlives the run; sprocs never unregister mid-run.
-    // simlint:allow(R6): engine outlives the drained event heap
-    server_->simulator()->Schedule(
-        server_->pcie().spec().latency_ns, [this, fn = &it->second] {
-          server_->host_cpu().Execute(
-              hw::cal::kKernelDispatchCycles,
-              [this, fn] { (*fn)(*sproc_context_); });
-        });
-    return Status::Ok();
-  }
   server_->dpu_cpu().Execute(
       hw::cal::kKernelDispatchCycles,
       [this, fn = &it->second] { (*fn)(*sproc_context_); });
@@ -256,6 +238,12 @@ Status ComputeEngine::InvokeSproc(const std::string& name) {
 }
 
 ComputeEngine::~ComputeEngine() = default;
+
+void ComputeEngine::SetEngineContext(ne::NetworkEngine* network,
+                                     se::StorageEngine* storage) {
+  sproc_context_->network_ = network;
+  sproc_context_->storage_ = storage;
+}
 
 std::vector<std::string> ComputeEngine::Sprocs() const {
   std::vector<std::string> names;

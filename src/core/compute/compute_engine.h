@@ -19,6 +19,13 @@
 #include "core/compute/work_item.h"
 #include "hw/machine.h"
 
+namespace dpdpu::ne {
+class NetworkEngine;
+}  // namespace dpdpu::ne
+namespace dpdpu::se {
+class StorageEngine;
+}  // namespace dpdpu::se
+
 namespace dpdpu::ce {
 
 class SprocContext;
@@ -28,11 +35,6 @@ struct ComputeEngineOptions {
   PlacementPolicy policy = PlacementPolicy::kModelBased;
   AdmissionQueue::Discipline asic_admission =
       AdmissionQueue::Discipline::kFcfs;
-  /// iPipe-style sproc co-scheduling (Section 5: "schedule not only
-  /// sprocs between DPU and host CPUs..."): when the DPU run queue
-  /// exceeds the threshold, new sproc invocations migrate to host cores.
-  bool sproc_migration = false;
-  size_t sproc_migration_queue_threshold = 16;
 };
 
 struct TargetStats {
@@ -106,15 +108,10 @@ class ComputeEngine {
   const PlacementModel& placement() const { return placement_; }
   const TargetStats& target_stats(ExecTarget target) const;
   uint64_t sprocs_invoked() const { return sprocs_invoked_; }
-  uint64_t sprocs_migrated_to_host() const { return sprocs_migrated_; }
 
-  /// Engine pointers for SprocContext; set by the runtime Platform.
-  void SetEngineContext(void* network_engine, void* storage_engine) {
-    network_engine_ = network_engine;
-    storage_engine_ = storage_engine;
-  }
-  void* network_engine_opaque() const { return network_engine_; }
-  void* storage_engine_opaque() const { return storage_engine_; }
+  /// The companion engines handed to sprocs; set by the runtime Platform.
+  void SetEngineContext(ne::NetworkEngine* network,
+                        se::StorageEngine* storage);
 
  private:
   /// One step of a job's kernel chain.
@@ -166,9 +163,6 @@ class ComputeEngine {
   std::unique_ptr<SprocContext> sproc_context_;
   std::map<ExecTarget, TargetStats> stats_;
   uint64_t sprocs_invoked_ = 0;
-  uint64_t sprocs_migrated_ = 0;
-  void* network_engine_ = nullptr;
-  void* storage_engine_ = nullptr;
 };
 
 }  // namespace dpdpu::ce

@@ -33,8 +33,8 @@ class SprocContext {
 
   /// The companion engines, when the sproc runs under a full Platform
   /// (nullptr in compute-only deployments).
-  ne::NetworkEngine* network();
-  se::StorageEngine* storage();
+  ne::NetworkEngine* network() { return network_; }
+  se::StorageEngine* storage() { return storage_; }
 
   /// Fig 6's `ce.get_dpk(...)` + invocation in one call: dispatches a DP
   /// kernel, returning the in-progress work item (or Unavailable for a
@@ -44,7 +44,11 @@ class SprocContext {
                                    InvokeOptions options = {});
 
  private:
+  friend class ComputeEngine;  // sets the companion engines
+
   ComputeEngine* engine_;
+  ne::NetworkEngine* network_ = nullptr;
+  se::StorageEngine* storage_ = nullptr;
 };
 
 }  // namespace dpdpu::ce

@@ -20,7 +20,6 @@
 #define DPDPU_CORE_NETWORK_RDMA_OFFLOAD_H_
 
 #include <cstdint>
-#include <functional>
 
 #include "common/result.h"
 #include "hw/machine.h"
@@ -49,12 +48,6 @@ class RdmaEndpoint {
   /// Non-blocking completion reap (host-side cost charged per poll that
   /// returns an entry).
   bool PollCompletion(netsub::RdmaCompletion* out);
-
-  /// Event hook: fires when a completion becomes reapable (so consumers
-  /// need not spin-poll inside the simulation).
-  void SetCompletionNotify(std::function<void()> notify) {
-    host_cq_->SetNotify(std::move(notify));
-  }
 
   RdmaPath path() const { return path_; }
 

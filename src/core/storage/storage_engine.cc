@@ -183,22 +183,29 @@ void HostFileClient::Read(fssub::FileId file, uint64_t offset,
     return;
   }
   // DPDPU path: ring submit, DPU service, data DMA back, host poll.
+  FileWrites at_start = writes_[file];
   server_->host_cpu().Execute(
       cal::kHostRingSubmitCycles,
-      [this, file, offset, length, cb = std::move(cb)]() mutable {
+      [this, file, offset, length, at_start, cb = std::move(cb)]() mutable {
         files_->ReadAsync(
             file, offset, length,
-            [this, file, offset, cb = std::move(cb)](
+            [this, file, offset, at_start, cb = std::move(cb)](
                 Result<Buffer> data) mutable {
               size_t bytes = data.ok() ? data->size() : 0;
               server_->pcie().Dma(
-                  bytes, [this, file, offset, cb = std::move(cb),
+                  bytes, [this, file, offset, at_start, cb = std::move(cb),
                           data = std::move(data)]() mutable {
                     server_->host_cpu().Execute(
                         cal::kHostRingPollCycles,
-                        [this, file, offset, cb = std::move(cb),
+                        [this, file, offset, at_start, cb = std::move(cb),
                          data = std::move(data)]() mutable {
-                          if (data.ok() && host_cache_ != nullptr) {
+                          // No write in flight when the read started and
+                          // none since: no write overlapped this read.
+                          bool no_write_overlapped =
+                              at_start.in_flight == 0 &&
+                              writes_[file].issued == at_start.issued;
+                          if (data.ok() && host_cache_ != nullptr &&
+                              no_write_overlapped) {
                             host_cache_->PutRange(file, offset, data->span());
                           }
                           cb(std::move(data));
@@ -213,6 +220,13 @@ void HostFileClient::Write(fssub::FileId file, uint64_t offset, Buffer data,
   if (host_cache_ != nullptr) {
     host_cache_->EraseRange(file, offset, data.size());
   }
+  FileWrites& writes = writes_[file];
+  ++writes.issued;
+  ++writes.in_flight;
+  cb = [this, file, cb = std::move(cb)](Status s) {
+    --writes_[file].in_flight;
+    cb(s);
+  };
   if (path_ == HostIoPath::kLinuxBaseline) {
     server_->host_cpu().ExecuteFor(
         server_->host_cpu().CyclesToTime(cal::kLinuxStorageStackCyclesPerIo),

@@ -253,11 +253,22 @@ class HostFileClient {
   void set_path(HostIoPath path) { path_ = path; }
 
  private:
+  /// This client's writes to one file: issued so far, and not yet
+  /// completed. A read fills the host cache only if no write to its file
+  /// was in flight at any time between its issue and its completion;
+  /// otherwise it may carry pre-write bytes that the write's issue-time
+  /// invalidation already missed.
+  struct FileWrites {
+    uint64_t issued = 0;
+    uint32_t in_flight = 0;
+  };
+
   hw::Server* server_;
   FileService* files_;
   HostIoPath path_;
   std::unique_ptr<fssub::PageCache> host_cache_;
   uint64_t host_cache_reservation_ = 0;
+  std::map<fssub::FileId, FileWrites> writes_;
 };
 
 // ---------------------------------------------------------------------------

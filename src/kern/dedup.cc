@@ -88,36 +88,4 @@ std::vector<Chunk> ChunkData(ByteSpan data, const ChunkerOptions& options) {
   return chunks;
 }
 
-std::vector<ChunkCount> DedupIndex::HotChunks(size_t n) const {
-  std::vector<ChunkCount> all;
-  all.reserve(seen_.size());
-  for (const auto& [fingerprint, count] : seen_) {
-    all.push_back(ChunkCount{fingerprint, count});
-  }
-  // Total order independent of hash-table iteration order.
-  std::sort(all.begin(), all.end(),
-            [](const ChunkCount& a, const ChunkCount& b) {
-              if (a.count != b.count) return a.count > b.count;
-              return a.fingerprint < b.fingerprint;
-            });
-  if (all.size() > n) all.resize(n);
-  return all;
-}
-
-DedupStats DedupIndex::Add(ByteSpan data) {
-  std::vector<Chunk> chunks = ChunkData(data, options_);
-  for (const Chunk& c : chunks) {
-    ++stats_.total_chunks;
-    stats_.total_bytes += c.size;
-    auto [it, inserted] = seen_.emplace(c.fingerprint, 1);
-    if (inserted) {
-      ++stats_.unique_chunks;
-      stats_.unique_bytes += c.size;
-    } else {
-      ++it->second;
-    }
-  }
-  return stats_;
-}
-
 }  // namespace dpdpu::kern

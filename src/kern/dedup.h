@@ -8,7 +8,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/buffer.h"
@@ -33,55 +32,6 @@ std::vector<Chunk> ChunkData(ByteSpan data, const ChunkerOptions& options = {});
 
 /// FNV-1a 64-bit content fingerprint.
 uint64_t Fingerprint64(ByteSpan data);
-
-struct DedupStats {
-  uint64_t total_bytes = 0;
-  uint64_t unique_bytes = 0;
-  uint64_t total_chunks = 0;
-  uint64_t unique_chunks = 0;
-
-  /// total/unique; 1.0 means nothing deduplicated.
-  double Ratio() const {
-    return unique_bytes == 0 ? 1.0
-                             : double(total_bytes) / double(unique_bytes);
-  }
-};
-
-/// A fingerprint and how many times it has been seen.
-struct ChunkCount {
-  uint64_t fingerprint = 0;
-  uint32_t count = 0;
-
-  bool operator==(const ChunkCount& other) const {
-    return fingerprint == other.fingerprint && count == other.count;
-  }
-};
-
-/// Accumulates chunk fingerprints across Add() calls and reports the
-/// cumulative dedup ratio.
-class DedupIndex {
- public:
-  explicit DedupIndex(ChunkerOptions options = {})
-      : options_(options) {}
-
-  /// Chunks `data`, records fingerprints, returns cumulative stats.
-  DedupStats Add(ByteSpan data);
-
-  const DedupStats& stats() const { return stats_; }
-
-  /// The `n` most-duplicated chunks in a deterministic total order
-  /// (count descending, fingerprint ascending as the tiebreak). This is
-  /// the only sanctioned way to surface the index's contents in logs or
-  /// metrics: iterating `seen_` directly would emit in hash order, which
-  /// varies across libstdc++ versions and breaks bit-exact baselines
-  /// (simlint rule R2).
-  std::vector<ChunkCount> HotChunks(size_t n) const;
-
- private:
-  ChunkerOptions options_;
-  DedupStats stats_;
-  std::unordered_map<uint64_t, uint32_t> seen_;
-};
 
 }  // namespace dpdpu::kern
 

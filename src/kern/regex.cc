@@ -34,11 +34,13 @@ struct Node {
   std::bitset<256> char_class;
   NodePtr left;
   NodePtr right;
+  size_t insts = 0;  // instructions this subtree compiles to
 
   NodePtr Clone() const {
     auto n = std::make_unique<Node>();
     n->kind = kind;
     n->char_class = char_class;
+    n->insts = insts;
     if (left) n->left = left->Clone();
     if (right) n->right = right->Clone();
     return n;
@@ -48,6 +50,7 @@ struct Node {
 NodePtr MakeNode(NodeKind kind) {
   auto n = std::make_unique<Node>();
   n->kind = kind;
+  n->insts = kind == NodeKind::kEmpty ? 0 : 1;
   return n;
 }
 
@@ -57,8 +60,12 @@ NodePtr MakeClass(std::bitset<256> cls) {
   return n;
 }
 
+// Instruction counts follow the Emitter in Regex::Compile: an
+// alternation adds a split and a jump, a star a split and a jump back,
+// '+' and '?' one split each.
 NodePtr MakeBinary(NodeKind kind, NodePtr l, NodePtr r) {
   auto n = MakeNode(kind);
+  n->insts = l->insts + r->insts + (kind == NodeKind::kAlternate ? 2 : 0);
   n->left = std::move(l);
   n->right = std::move(r);
   return n;
@@ -66,8 +73,18 @@ NodePtr MakeBinary(NodeKind kind, NodePtr l, NodePtr r) {
 
 NodePtr MakeUnary(NodeKind kind, NodePtr l) {
   auto n = MakeNode(kind);
+  n->insts = l->insts + (kind == NodeKind::kStar ? 2 : 1);
   n->left = std::move(l);
   return n;
+}
+
+// Fails when a subtree of `insts` instructions, plus the final match,
+// would exceed the program cap.
+Status CheckSize(size_t insts) {
+  if (insts + 1 > Regex::kMaxInstructions) {
+    return Status::InvalidArgument("regex: compiled program too large");
+  }
+  return Status::Ok();
 }
 
 // ---------------------------------------------------------------------------
@@ -98,6 +115,7 @@ class Parser {
       DPDPU_ASSIGN_OR_RETURN(NodePtr right, ParseConcat());
       left = MakeBinary(NodeKind::kAlternate, std::move(left),
                         std::move(right));
+      DPDPU_RETURN_IF_ERROR(CheckSize(left->insts));
     }
     return left;
   }
@@ -109,6 +127,7 @@ class Parser {
       node = node ? MakeBinary(NodeKind::kConcat, std::move(node),
                                std::move(atom))
                   : std::move(atom);
+      DPDPU_RETURN_IF_ERROR(CheckSize(node->insts));
     }
     if (!node) node = MakeNode(NodeKind::kEmpty);
     return node;
@@ -132,6 +151,7 @@ class Parser {
       } else {
         break;
       }
+      DPDPU_RETURN_IF_ERROR(CheckSize(atom->insts));
     }
     return atom;
   }
@@ -165,6 +185,10 @@ class Parser {
     if (AtEnd() || Take() != '}') {
       return Status::InvalidArgument("regex: unterminated {}");
     }
+    // Size the expansion before making any copy of the operand.
+    size_t k = atom->insts;
+    DPDPU_RETURN_IF_ERROR(CheckSize(
+        size_t(m) * k + (unbounded ? k + 2 : size_t(n - m) * (k + 1))));
     // Expand: m mandatory copies, then (n - m) optional or a star.
     NodePtr out;
     for (int i = 0; i < m; ++i) {
@@ -420,6 +444,7 @@ Result<Regex> Regex::Compile(std::string_view pattern) {
   };
   Emitter{&re}.Emit(*root);
   re.program_.push_back(Inst{Op::kMatch, 0, 0});
+  DPDPU_CHECK(re.program_.size() == root->insts + 1);
 
   // Refine the byte partition by each class in turn: bytes stay together
   // while every class seen so far contains both or neither.

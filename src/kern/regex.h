@@ -30,7 +30,15 @@ namespace dpdpu::kern {
 
 class Regex {
  public:
-  /// Compiles `pattern`; fails with InvalidArgument on syntax errors.
+  /// The most instructions a compiled program may hold. '{m,n}'
+  /// compiles by copying its operand, so nested repeats multiply: a
+  /// 16-byte pattern such as a{100}{100}{100} would ask for a million.
+  static constexpr size_t kMaxInstructions = 100000;
+
+  /// Compiles `pattern`; fails with InvalidArgument on syntax errors and
+  /// on a pattern whose program would exceed kMaxInstructions. The size
+  /// is checked before each '{m,n}' copies its operand, so a rejection
+  /// stays cheap.
   static Result<Regex> Compile(std::string_view pattern);
 
   /// True when the entire text matches the pattern.

@@ -305,64 +305,6 @@ class Simulator {
   std::unique_ptr<RaceChecker> race_;
 };
 
-/// A repeating event: fires `fn` every `interval` ns until Cancel() or
-/// destruction. Multi-machine drivers (fleet utilization sampling,
-/// workload pacing) need cancelable repetition; scheduled closures cannot
-/// be removed from the heap, so cancellation is a shared liveness flag
-/// checked at fire time.
-class PeriodicTask {
- public:
-  PeriodicTask() = default;
-  ~PeriodicTask() { Cancel(); }
-
-  PeriodicTask(const PeriodicTask&) = delete;
-  PeriodicTask& operator=(const PeriodicTask&) = delete;
-
-  /// Starts firing `fn` every `interval` ns, first fire at now+interval.
-  /// Restarting cancels the previous schedule. The callback is wrapped
-  /// exactly once: each tick schedules a shared_ptr-sized closure (inline
-  /// in UniqueFunction's small buffer), so a long-running sampler costs
-  /// no per-tick callback re-wrapping or allocation.
-  template <typename F>
-  void Start(Simulator* sim, SimTime interval, F&& fn) {
-    DPDPU_CHECK(interval > 0);
-    Cancel();
-    heart_ = std::make_shared<Heart>();
-    heart_->sim = sim;
-    heart_->interval = interval;
-    heart_->fn = UniqueFunction(std::forward<F>(fn));
-    ScheduleNext(heart_);
-  }
-
-  void Cancel() {
-    if (heart_) heart_->alive = false;
-    heart_.reset();
-  }
-
-  bool active() const { return heart_ != nullptr && heart_->alive; }
-
- private:
-  // Shared liveness + the once-wrapped callback; scheduled closures hold
-  // the heart alive until their fire time even after Cancel().
-  struct Heart {
-    Simulator* sim = nullptr;
-    SimTime interval = 0;
-    UniqueFunction fn;
-    bool alive = true;
-  };
-
-  static void ScheduleNext(const std::shared_ptr<Heart>& heart) {
-    heart->sim->Schedule(heart->interval, [heart] {
-      if (!heart->alive) return;
-      heart->fn();
-      if (!heart->alive) return;  // fn may have canceled us
-      ScheduleNext(heart);
-    });
-  }
-
-  std::shared_ptr<Heart> heart_;
-};
-
 }  // namespace dpdpu::sim
 
 #endif  // DPDPU_SIM_SIMULATOR_H_

@@ -1,11 +1,10 @@
-// Tests for the Section 4/5 extension components: the shared-state table
-// in DPU memory, PCIe-attached accelerators, and DP kernel fusion.
+// Tests for the Section 5/9 extension components: PCIe-attached
+// accelerators, DP kernel fusion, and the host-side file cache.
 
 #include <gtest/gtest.h>
 
 #include "core/compute/compute_engine.h"
 #include "core/runtime/platform.h"
-#include "core/runtime/shared_state.h"
 #include "hw/machine.h"
 #include "kern/chacha20.h"
 #include "kern/deflate.h"
@@ -13,66 +12,6 @@
 
 namespace dpdpu {
 namespace {
-
-// --------------------------------------------------------------------------
-// SharedStateTable.
-// --------------------------------------------------------------------------
-
-struct SharedStateFixture {
-  SharedStateFixture() : server(&sim, hw::DefaultServerSpec()) {}
-  sim::Simulator sim;
-  hw::Server server;
-};
-
-TEST(SharedStateTest, PutGetEraseRoundTrip) {
-  SharedStateFixture f;
-  rt::SharedStateTable table(&f.server, 1 << 20);
-  ASSERT_TRUE(table.Put("page:7", Buffer("cached page bytes")).ok());
-  const Buffer* v = table.Get("page:7");
-  ASSERT_NE(v, nullptr);
-  EXPECT_EQ(v->ToString(), "cached page bytes");
-  EXPECT_EQ(table.Get("missing"), nullptr);
-  EXPECT_TRUE(table.Erase("page:7"));
-  EXPECT_FALSE(table.Erase("page:7"));
-  EXPECT_EQ(table.Get("page:7"), nullptr);
-}
-
-TEST(SharedStateTest, VersionsDetectAsynchronousUpdates) {
-  SharedStateFixture f;
-  rt::SharedStateTable table(&f.server, 1 << 20);
-  EXPECT_EQ(table.Version("k"), 0u);
-  ASSERT_TRUE(table.Put("k", Buffer("v1")).ok());
-  uint64_t v1 = table.Version("k");
-  EXPECT_GT(v1, 0u);
-  // Another engine writes concurrently (the Section 4 "consistency is
-  // not guaranteed" case): the version moves, so the first engine can
-  // detect it.
-  ASSERT_TRUE(table.Put("k", Buffer("v2")).ok());
-  EXPECT_GT(table.Version("k"), v1);
-}
-
-TEST(SharedStateTest, CapacityEnforcedThroughDpuMemory) {
-  SharedStateFixture f;
-  rt::SharedStateTable table(&f.server, 4096);
-  EXPECT_LE(table.capacity(), 4096u);
-  // DPU memory accounting reflects the reservation.
-  EXPECT_GE(f.server.dpu_memory().used(), table.capacity());
-  Buffer big(size_t{8192});
-  EXPECT_TRUE(table.Put("too-big", std::move(big)).IsResourceExhausted());
-  EXPECT_EQ(table.stats().rejected_puts, 1u);
-  // Replacing an entry reuses its budget.
-  ASSERT_TRUE(table.Put("a", Buffer(size_t{1024})).ok());
-  ASSERT_TRUE(table.Put("a", Buffer(size_t{2048})).ok());
-  EXPECT_EQ(table.entry_count(), 1u);
-}
-
-TEST(SharedStateTest, KeysEnumerates) {
-  SharedStateFixture f;
-  rt::SharedStateTable table(&f.server, 1 << 20);
-  ASSERT_TRUE(table.Put("b", Buffer("2")).ok());
-  ASSERT_TRUE(table.Put("a", Buffer("1")).ok());
-  EXPECT_EQ(table.Keys(), (std::vector<std::string>{"a", "b"}));
-}
 
 // --------------------------------------------------------------------------
 // PCIe accelerator target.
@@ -259,75 +198,6 @@ TEST(FusionTest, AutoPlacementPicksSomewhereValid) {
 
 
 // --------------------------------------------------------------------------
-// Sproc migration (iPipe-style co-scheduling, Section 5).
-// --------------------------------------------------------------------------
-
-TEST(SprocMigrationTest, BackloggedDpuMigratesSprocsToHost) {
-  sim::Simulator sim;
-  hw::Server server(&sim, hw::DefaultServerSpec());
-  ce::ComputeEngineOptions options;
-  options.sproc_migration = true;
-  options.sproc_migration_queue_threshold = 4;
-  ce::ComputeEngine engine(&server, ce::KernelRegistry::Builtin(), options);
-
-  int ran = 0;
-  ASSERT_TRUE(
-      engine.RegisterSproc("tick", [&](ce::SprocContext&) { ++ran; }).ok());
-
-  // Backlog the DPU cores with long jobs, then invoke a burst of sprocs.
-  for (int i = 0; i < 64; ++i) {
-    server.dpu_cpu().Execute(50'000'000, UniqueFunction([] {}));
-  }
-  for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(engine.InvokeSproc("tick").ok());
-  }
-  sim.Run();
-  EXPECT_EQ(ran, 20);
-  EXPECT_GT(engine.sprocs_migrated_to_host(), 0u);
-}
-
-TEST(SprocMigrationTest, DisabledStaysOnDpu) {
-  sim::Simulator sim;
-  hw::Server server(&sim, hw::DefaultServerSpec());
-  ce::ComputeEngine engine(&server, ce::KernelRegistry::Builtin(), {});
-  int ran = 0;
-  ASSERT_TRUE(
-      engine.RegisterSproc("tick", [&](ce::SprocContext&) { ++ran; }).ok());
-  for (int i = 0; i < 64; ++i) {
-    server.dpu_cpu().Execute(50'000'000, UniqueFunction([] {}));
-  }
-  for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(engine.InvokeSproc("tick").ok());
-  }
-  sim.Run();
-  EXPECT_EQ(ran, 20);
-  EXPECT_EQ(engine.sprocs_migrated_to_host(), 0u);
-}
-
-TEST(SprocMigrationTest, MigratedSprocsFinishSoonerUnderDpuOverload) {
-  auto run = [](bool migrate) {
-    sim::Simulator sim;
-    hw::Server server(&sim, hw::DefaultServerSpec());
-    ce::ComputeEngineOptions options;
-    options.sproc_migration = migrate;
-    options.sproc_migration_queue_threshold = 2;
-    ce::ComputeEngine engine(&server, ce::KernelRegistry::Builtin(),
-                             options);
-    sim::SimTime last_done = 0;
-    (void)engine.RegisterSproc(
-        "work", [&](ce::SprocContext&) { last_done = sim.now(); });
-    for (int i = 0; i < 64; ++i) {
-      server.dpu_cpu().Execute(10'000'000, UniqueFunction([] {}));
-    }
-    for (int i = 0; i < 30; ++i) (void)engine.InvokeSproc("work");
-    sim.Run();
-    return last_done;
-  };
-  EXPECT_LT(run(true), run(false));
-}
-
-
-// --------------------------------------------------------------------------
 // Host-side cache in HostFileClient (Section 9 caching).
 // --------------------------------------------------------------------------
 
@@ -398,6 +268,61 @@ TEST(HostCacheTest, WriteInvalidatesHostCache) {
   });
   sim.Run();
   EXPECT_EQ(got, v2);
+}
+
+// A read in flight when a write is issued can carry the pre-write bytes
+// back after the write's issue-time invalidation; it must not leave them
+// in the host cache. On the default platform the read below completes
+// at 84.7 us and a write issued at 70 or 78 us completes after it.
+TEST(HostCacheTest, ReadOverlappingAWriteDoesNotFillTheCache) {
+  for (sim::SimTime write_at :
+       {70 * sim::kMicrosecond, 78 * sim::kMicrosecond}) {
+    SCOPED_TRACE(write_at);
+    sim::Simulator sim;
+    netsub::Network net(&sim);
+    rt::Platform platform(&sim, &net, {});
+    auto& client = platform.storage().host_client();
+    client.EnableHostCache(8 << 20);
+
+    auto file = platform.fs().Create("hc3");
+    ASSERT_TRUE(file.ok());
+    Buffer v1 = kern::GenerateRandomBytes(8192, 1);
+    Buffer v2 = kern::GenerateRandomBytes(8192, 2);
+    ASSERT_TRUE(platform.fs().Write(*file, 0, v1.span()).ok());
+
+    Buffer first;
+    sim::SimTime read_done = 0, write_done = 0;
+    client.Read(*file, 0, 8192, [&](Result<Buffer> d) {
+      ASSERT_TRUE(d.ok());
+      first = std::move(d).value();
+      read_done = sim.now();
+    });
+    sim.ScheduleAt(write_at, [&] {
+      client.Write(*file, 0, v2, [&](Status s) {
+        EXPECT_TRUE(s.ok());
+        write_done = sim.now();
+      });
+    });
+    sim.Run();
+    EXPECT_GT(read_done, write_at);
+    EXPECT_LT(read_done, write_done);
+    EXPECT_EQ(first, v1);
+
+    // Once the write is done, reads fill the cache again: the first
+    // misses, the second hits, and both return the new bytes.
+    const fssub::PageCacheStats& stats = *client.host_cache_stats();
+    for (bool hit : {false, true}) {
+      uint64_t hits_before = stats.hits;
+      Buffer got;
+      client.Read(*file, 0, 8192, [&](Result<Buffer> d) {
+        ASSERT_TRUE(d.ok());
+        got = std::move(d).value();
+      });
+      sim.Run();
+      EXPECT_EQ(got, v2);
+      EXPECT_EQ(stats.hits > hits_before, hit);
+    }
+  }
 }
 
 TEST(HostCacheTest, ReservationComesFromHostMemoryPool) {

@@ -276,6 +276,30 @@ TEST(RegexTest, SyntaxErrors) {
   EXPECT_TRUE(Regex::Compile("[z-a]").status().IsInvalidArgument());
 }
 
+// '{m,n}' copies its operand, so nested repeats multiply. The size is
+// checked before each copy: a{100}{100}{100} would need a million
+// instructions and fails at once instead of building them.
+TEST(RegexTest, ProgramsOverTheInstructionCapAreRejected) {
+  auto nested = Regex::Compile("a{100}{100}");
+  ASSERT_TRUE(nested.ok());
+  EXPECT_EQ(nested->instruction_count(), 10001u);
+  EXPECT_TRUE(
+      Regex::Compile("a{100}{100}{100}").status().IsInvalidArgument());
+  EXPECT_TRUE(
+      Regex::Compile("(a{100}){100}{10}").status().IsInvalidArgument());
+  // Concatenation counts too: nine copies fit under the cap, ten do not.
+  std::string nine, ten;
+  for (int i = 0; i < 9; ++i) nine += "a{100}{100}";
+  ten = nine + "a{100}{100}";
+  auto fits = Regex::Compile(nine);
+  ASSERT_TRUE(fits.ok());
+  EXPECT_EQ(fits->instruction_count(), 90001u);
+  EXPECT_TRUE(Regex::Compile(ten).status().IsInvalidArgument());
+  EXPECT_TRUE(
+      Regex::Compile("(" + nine + "|" + nine + ")").status()
+          .IsInvalidArgument());
+}
+
 TEST(RegexTest, EmptyPatternMatchesEmpty) {
   EXPECT_TRUE(Full("", ""));
   EXPECT_FALSE(Full("", "x"));
@@ -483,47 +507,6 @@ TEST(DedupTest, BoundariesShiftInvariant) {
     }
   }
   EXPECT_GT(common, base_fp.size() * 7 / 10);
-}
-
-TEST(DedupTest, IndexDetectsDuplicates) {
-  Buffer data = GenerateRandomBytes(200000, 21);
-  DedupIndex index;
-  DedupStats s1 = index.Add(data.span());
-  EXPECT_EQ(s1.total_chunks, s1.unique_chunks);
-  DedupStats s2 = index.Add(data.span());  // identical content again
-  EXPECT_EQ(s2.unique_chunks, s1.unique_chunks);
-  EXPECT_NEAR(s2.Ratio(), 2.0, 0.01);
-}
-
-TEST(DedupTest, HotChunksSortedByCountThenFingerprint) {
-  Buffer once = GenerateRandomBytes(100000, 31);
-  Buffer thrice = GenerateRandomBytes(100000, 32);
-  DedupIndex index;
-  index.Add(once.span());
-  for (int i = 0; i < 3; ++i) index.Add(thrice.span());
-
-  auto hot = index.HotChunks(1000);
-  ASSERT_FALSE(hot.empty());
-  // Deterministic total order: count descending, fingerprint ascending.
-  for (size_t i = 0; i + 1 < hot.size(); ++i) {
-    if (hot[i].count == hot[i + 1].count) {
-      EXPECT_LT(hot[i].fingerprint, hot[i + 1].fingerprint);
-    } else {
-      EXPECT_GT(hot[i].count, hot[i + 1].count);
-    }
-  }
-  // The thrice-added content dominates the head of the list.
-  EXPECT_EQ(hot.front().count, 3u);
-  // Truncation keeps the hottest prefix.
-  auto top3 = index.HotChunks(3);
-  ASSERT_EQ(top3.size(), 3u);
-  for (size_t i = 0; i < top3.size(); ++i) EXPECT_EQ(top3[i], hot[i]);
-  // Identical indexes produce byte-identical listings (the emission
-  // contract simlint R2 is protecting).
-  DedupIndex replay;
-  replay.Add(once.span());
-  for (int i = 0; i < 3; ++i) replay.Add(thrice.span());
-  EXPECT_EQ(replay.HotChunks(1000), hot);
 }
 
 TEST(DedupTest, FingerprintsDifferForDifferentContent) {

@@ -134,6 +134,12 @@ TEST(NeTcpTest, ReceiverRingBackpressureShrinksWindow) {
 // Flows.
 // --------------------------------------------------------------------------
 
+/// Appends `record` in the flow framing: a u32 length, then the bytes.
+void AppendRecord(Buffer* out, std::string_view record) {
+  out->AppendU32(uint32_t(record.size()));
+  out->Append(record);
+}
+
 TEST(FlowTest, RecordsRoundTripWithBatching) {
   TwoServers env;
   std::vector<std::string> got;
@@ -146,23 +152,24 @@ TEST(FlowTest, RecordsRoundTripWithBatching) {
         });
   });
   NeSocket* client = env.a->Connect(2, 80);
-  FlowWriter writer(client, /*batch_bytes=*/4096);
+  // Many records per Send: the reader splits each batch back apart.
   std::vector<std::string> sent;
+  Buffer batch;
   for (int i = 0; i < 500; ++i) {
     sent.push_back("record-" + std::to_string(i));
-    ASSERT_TRUE(writer.Push(Buffer(sent.back()).span()).ok());
+    AppendRecord(&batch, sent.back());
+    if (batch.size() >= 4096 || i == 499) {
+      client->Send(batch.span());
+      batch.clear();
+    }
   }
-  ASSERT_TRUE(writer.Flush().ok());
   env.sim.Run();
   EXPECT_EQ(got, sent);
-  EXPECT_EQ(writer.records_pushed(), 500u);
-  EXPECT_LT(writer.batches_sent(), 500u);  // batching actually batched
   EXPECT_EQ(reader->records_received(), 500u);
 }
 
-// Pushes from scheduled events — the only context where concurrent
-// pushes are possible at all, and the context simscope --xcheck needs
-// to see FlowWriter's race annotation fire dynamically.
+// Sends from scheduled events, two per timestamp: same-tick records may
+// reach the stream in either order, but each arrives whole.
 TEST(FlowTest, EventDrivenPushesRoundTrip) {
   TwoServers env;
   std::vector<std::string> got;
@@ -175,18 +182,18 @@ TEST(FlowTest, EventDrivenPushesRoundTrip) {
         });
   });
   NeSocket* client = env.a->Connect(2, 80);
-  FlowWriter writer(client, /*batch_bytes=*/256);
+  std::vector<std::string> sent;
   for (int i = 0; i < 8; ++i) {
-    // Two pushes per timestamp: commutative batching, any order.
-    env.sim.Schedule(1000 * (i / 2), [&writer, i] {
-      std::string rec = "evt-record-" + std::to_string(i);
-      EXPECT_TRUE(writer.Push(Buffer(rec).span()).ok());
+    sent.push_back("evt-record-" + std::to_string(i));
+    env.sim.Schedule(1000 * (i / 2), [client, rec = sent.back()] {
+      SendRecord(client, Buffer(rec).span());
     });
   }
-  env.sim.Schedule(10000, [&writer] { EXPECT_TRUE(writer.Flush().ok()); });
   env.sim.Run();
-  EXPECT_EQ(got.size(), 8u);
-  EXPECT_EQ(writer.records_pushed(), 8u);
+  std::sort(got.begin(), got.end());
+  std::sort(sent.begin(), sent.end());
+  EXPECT_EQ(got, sent);
+  EXPECT_EQ(reader->records_received(), 8u);
 }
 
 TEST(FlowTest, LargeRecordsSpanBatches) {
@@ -198,11 +205,9 @@ TEST(FlowTest, LargeRecordsSpanBatches) {
         s, [&](ByteSpan r) { got_sizes.push_back(r.size()); });
   });
   NeSocket* client = env.a->Connect(2, 80);
-  FlowWriter writer(client, 1024);
   Buffer big = kern::GenerateRandomBytes(100000, 7);
-  ASSERT_TRUE(writer.Push(big.span()).ok());
-  ASSERT_TRUE(writer.Push(Buffer("tiny").span()).ok());
-  ASSERT_TRUE(writer.Flush().ok());
+  SendRecord(client, big.span());
+  SendRecord(client, Buffer("tiny").span());
   env.sim.Run();
   ASSERT_EQ(got_sizes.size(), 2u);
   EXPECT_EQ(got_sizes[0], 100000u);
@@ -276,11 +281,9 @@ TEST(FlowTest, RecordCallbackMayDestroyTheReader) {
   NeSocket* client = env.a->Connect(2, 80);
   // Three records in one Send: the reader dies inside the first and
   // must not touch its buffer for the other two.
-  FlowWriter writer(client, /*batch_bytes=*/1 << 20);
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(writer.Push(Buffer("record").span()).ok());
-  }
-  ASSERT_TRUE(writer.Flush().ok());
+  Buffer three;
+  for (int i = 0; i < 3; ++i) AppendRecord(&three, "record");
+  client->Send(three.span());
   env.sim.Run();
   EXPECT_EQ(delivered, 1);
   EXPECT_EQ(reader, nullptr);
@@ -397,6 +400,49 @@ TEST(RdmaOffloadTest, FailedPostsFollowEachPathsConvention) {
       EXPECT_EQ(completions[i].op, ops[i]);
       EXPECT_FALSE(completions[i].ok);
     }
+  }
+}
+
+// A SEND larger than the posted receive fails on both sides; the next
+// SEND still lands. The offloaded endpoints deliver every completion,
+// the failed ones included, through their host rings, so the QPs' own
+// queues are left empty.
+TEST(RdmaOffloadTest, OversizedSendFailsAloneOnBothPaths) {
+  using OpType = netsub::RdmaCompletion::OpType;
+  for (RdmaPath path : {RdmaPath::kNative, RdmaPath::kDpuOffloaded}) {
+    SCOPED_TRACE(path == RdmaPath::kNative ? "native" : "offloaded");
+    RdmaEnv env;
+    auto ep_a = env.a->CreateRdmaEndpoint(path, env.qp_a);
+    auto ep_b = env.b->CreateRdmaEndpoint(path, env.qp_b);
+    ASSERT_TRUE(ep_b->Recv(1, env.remote, 0, 1024).ok());
+    ASSERT_TRUE(ep_b->Recv(2, env.remote, 1024, 1024).ok());
+    env.sim.Run();  // both receives are posted before a SEND arrives
+    Buffer big = kern::GenerateRandomBytes(4096, 9);
+    ASSERT_TRUE(ep_a->Send(10, big.span()).ok());
+    ASSERT_TRUE(ep_a->Send(11, Buffer("fits").span()).ok());
+    env.sim.Run();
+
+    size_t device_queued = path == RdmaPath::kNative ? 2 : 0;
+    EXPECT_EQ(env.qp_a->cq().pending(), device_queued);
+    EXPECT_EQ(env.qp_b->cq().pending(), device_queued);
+    std::vector<netsub::RdmaCompletion> sends, recvs;
+    netsub::RdmaCompletion c;
+    while (ep_a->PollCompletion(&c)) sends.push_back(c);
+    while (ep_b->PollCompletion(&c)) recvs.push_back(c);
+    ASSERT_EQ(sends.size(), 2u);
+    ASSERT_EQ(recvs.size(), 2u);
+    EXPECT_EQ(sends[0].op, OpType::kSend);
+    EXPECT_EQ(sends[0].wr_id, 10u);
+    EXPECT_FALSE(sends[0].ok);
+    EXPECT_EQ(sends[1].wr_id, 11u);
+    EXPECT_TRUE(sends[1].ok);
+    EXPECT_EQ(recvs[0].op, OpType::kRecv);
+    EXPECT_EQ(recvs[0].wr_id, 1u);
+    EXPECT_FALSE(recvs[0].ok);
+    EXPECT_EQ(recvs[1].wr_id, 2u);
+    EXPECT_TRUE(recvs[1].ok);
+    auto rmem = env.b->rdma_nic().Memory(env.remote);
+    EXPECT_EQ(std::memcmp(rmem->data() + 1024, "fits", 4), 0);
   }
 }
 

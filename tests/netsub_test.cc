@@ -531,6 +531,41 @@ TEST_F(RdmaFixture, SendBeforeRecvIsBuffered) {
   EXPECT_EQ(std::memcmp(mem->data(), msg.data(), msg.size()), 0);
 }
 
+// A SEND larger than the posted receive fails on both sides and uses
+// up that receive; the next SEND lands in the next one.
+TEST_F(RdmaFixture, OversizedSendFailsBothSidesAndTheNextLands) {
+  MrKey recv_mr = rnic_b_->RegisterMemory(128);
+  ASSERT_TRUE(qp_b_->PostRecv(1, recv_mr, 0, 64).ok());
+  ASSERT_TRUE(qp_b_->PostRecv(2, recv_mr, 64, 64).ok());
+  Buffer big(size_t{65});
+  Buffer small("fits");
+  ASSERT_TRUE(qp_a_->PostSend(10, big.span()).ok());
+  ASSERT_TRUE(qp_a_->PostSend(11, small.span()).ok());
+  sim_.Run();
+
+  RdmaCompletion c;
+  ASSERT_TRUE(qp_a_->cq().Poll(&c));
+  EXPECT_EQ(c.op, RdmaCompletion::OpType::kSend);
+  EXPECT_EQ(c.wr_id, 10u);
+  EXPECT_FALSE(c.ok);
+  ASSERT_TRUE(qp_a_->cq().Poll(&c));
+  EXPECT_EQ(c.wr_id, 11u);
+  EXPECT_TRUE(c.ok);
+  EXPECT_FALSE(qp_a_->cq().Poll(&c));
+
+  ASSERT_TRUE(qp_b_->cq().Poll(&c));
+  EXPECT_EQ(c.op, RdmaCompletion::OpType::kRecv);
+  EXPECT_EQ(c.wr_id, 1u);
+  EXPECT_FALSE(c.ok);
+  ASSERT_TRUE(qp_b_->cq().Poll(&c));
+  EXPECT_EQ(c.wr_id, 2u);
+  EXPECT_TRUE(c.ok);
+  EXPECT_EQ(c.bytes, small.size());
+  EXPECT_FALSE(qp_b_->cq().Poll(&c));
+  auto mem = rnic_b_->Memory(recv_mr);
+  EXPECT_EQ(std::memcmp(mem->data() + 64, small.data(), small.size()), 0);
+}
+
 TEST_F(RdmaFixture, BadRemoteKeyNacks) {
   MrKey local = rnic_a_->RegisterMemory(4096);
   ASSERT_TRUE(qp_a_->PostWrite(5, local, 0, /*remote_key=*/999, 0, 16).ok());

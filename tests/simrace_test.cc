@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -283,10 +284,11 @@ WorkloadResult RunWorkload(bool race_check) {
   }
   WorkloadResult result;
   Resource res(&sim, "ssd", 2);
-  PeriodicTask sampler;
-  sampler.Start(&sim, 50, [&] {
-    if (++result.ticks >= 20) sampler.Cancel();
-  });
+  // A tick that reschedules itself every 50 ns, 20 times.
+  std::function<void()> tick = [&] {
+    if (++result.ticks < 20) sim.Schedule(50, tick);
+  };
+  sim.Schedule(50, tick);
   for (int i = 0; i < 8; ++i) {
     sim.Schedule(10 * i, [&res, &result, i] {
       res.Submit(25 + i, [&result] { ++result.jobs_done; });

@@ -377,8 +377,8 @@ def check_r6(path, stripped, report):
                 "raw `this` captured into a scheduled callback: events "
                 "cannot be canceled, so this is a use-after-free if the "
                 "object dies first — capture a shared/weak liveness token "
-                "(see PeriodicTask::Heart), or allow with the lifetime "
-                "guarantee"))
+                "(see RemoteStorageClient's alive_), or allow with the "
+                "lifetime guarantee"))
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,9 @@ shared field is invisible to the detector and never branched by simex's
 DPOR. simscope closes that blind spot statically:
 
   1. It identifies every *callback context* — a lambda registered with
-     Simulator::Schedule/ScheduleAt/Post, a PeriodicTask body, a MiniTCP
-     or RPC completion handler, or any other lambda handed to a call
-     that defers it — and treats each registration site as a scheduling
-     provenance root.
+     Simulator::Schedule/ScheduleAt/Post, a MiniTCP or RPC completion
+     handler, or any other lambda handed to a call that defers it — and
+     treats each registration site as a scheduling provenance root.
   2. It walks name-resolved call-graph edges from each root and
      attributes every member-field (and namespace-scope global) write in
      reachable code to the roots that can reach it.
