@@ -84,7 +84,7 @@ void BM_HuffmanDecode(benchmark::State& state) {
       uint8_t s = text.span()[i];
       writer.WriteHuffmanCode(codes[s], lengths[s]);
     }
-    writer.AlignToByte();
+    writer.PadToByte();
   }
   auto decoder = kern::HuffmanDecoder::Build(lengths);
   DPDPU_CHECK(decoder.ok());

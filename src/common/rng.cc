@@ -77,13 +77,14 @@ ZipfGenerator::ZipfGenerator(uint64_t n, double theta)
   alpha_ = 1.0 / (1.0 - theta_);
   eta_ = (1.0 - std::pow(2.0 / double(n_), 1.0 - theta_)) /
          (1.0 - zeta2theta_ / zetan_);
+  rank1_bound_ = 1.0 + std::pow(0.5, theta_);
 }
 
 uint64_t ZipfGenerator::Next(Pcg32& rng) const {
   double u = rng.NextDouble();
   double uz = u * zetan_;
   if (uz < 1.0) return 0;
-  if (uz < 1.0 + std::pow(0.5, theta_)) return 1;
+  if (uz < rank1_bound_) return 1;
   uint64_t v = static_cast<uint64_t>(
       double(n_) * std::pow(eta_ * u - eta_ + 1.0, alpha_));
   if (v >= n_) v = n_ - 1;

@@ -63,6 +63,7 @@ class ZipfGenerator {
   double zetan_;
   double eta_;
   double zeta2theta_;
+  double rank1_bound_;  // 1 + 0.5^theta: u * zetan_ below it draws rank 1
 };
 
 /// Fills `out` with uniformly random bytes (incompressible payload).

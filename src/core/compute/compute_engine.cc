@@ -108,9 +108,16 @@ WorkItemPtr ComputeEngine::Launch(const DpKernel& cost, ExecTarget target,
   sim::SimTime service = placement_.ServiceTime(cost, input.size(), target);
   placement_.OnDispatch(target, service);
 
+  // The first step's output is first needed at completion; its kernel
+  // may start the host work now (DpKernel::prefetch).
+  auto shared_input = std::make_shared<const Buffer>(std::move(input));
+  const Step& first = steps.front();
+  if (first.kernel->prefetch) {
+    first.kernel->prefetch(shared_input, first.params);
+  }
   auto job = std::make_unique<Job>(
       Job{std::move(steps), cost.cpu_cycles_per_byte, cost.fixed_cycles,
-          std::move(input), item, target, service});
+          std::move(shared_input), item, target, service});
   if (target == ExecTarget::kDpuAsic) {
     RunOnAsic(std::move(job), tenant);
   } else {
@@ -127,7 +134,7 @@ void ComputeEngine::RunOnAsic(JobPtr job, uint32_t tenant) {
   } else {
     // Size read before the move-capture below consumes the job
     // (argument evaluation order is unspecified).
-    uint64_t bytes = job->input.size();
+    uint64_t bytes = job->input->size();
     state.queue->Push(tenant, bytes,
                       [this, kind, job = std::move(job)]() mutable {
                         StartAsicJob(kind, std::move(job));
@@ -138,7 +145,7 @@ void ComputeEngine::RunOnAsic(JobPtr job, uint32_t tenant) {
 void ComputeEngine::StartAsicJob(hw::AcceleratorKind kind, JobPtr job) {
   AsicState& state = asic_state_[kind];
   ++state.in_flight;
-  uint64_t bytes = job->input.size();
+  uint64_t bytes = job->input->size();
   server_->accelerator(kind)->SubmitJob(
       bytes, [this, kind, job = std::move(job)]() mutable {
         AsicState& st = asic_state_[kind];
@@ -161,7 +168,7 @@ void ComputeEngine::PumpAsicQueue(hw::AcceleratorKind kind) {
 
 void ComputeEngine::RunOnCpu(JobPtr job) {
   // Read before the move-captures below consume the job.
-  uint64_t bytes = job->input.size();
+  uint64_t bytes = job->input->size();
   if (job->target == ExecTarget::kDpuCpu) {
     // DPU cores run the job in place.
     sim::SimTime t = server_->dpu_cpu().WorkTime(
@@ -198,7 +205,7 @@ Result<Buffer> ComputeEngine::RunKernelChain(const Job& job) {
   // The one place kernel fns run: each step consumes the previous
   // step's output.
   Result<Buffer> out = Status::Internal("compute: empty kernel chain");
-  ByteSpan in = job.input.span();
+  ByteSpan in = job.input->span();
   for (const Step& step : job.steps) {
     out = step.kernel->fn(in, step.params);
     if (!out.ok()) break;

@@ -126,7 +126,7 @@ class ComputeEngine {
     std::vector<Step> steps;
     double cpu_cycles_per_byte = 0;
     uint64_t fixed_cycles = 0;
-    Buffer input;
+    std::shared_ptr<const Buffer> input;  // shared with a prefetch
     WorkItemPtr item;
     ExecTarget target = ExecTarget::kAuto;
     sim::SimTime service = 0;  // the placement backlog it charges

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -30,6 +31,12 @@ using KernelParams = std::map<std::string, std::string>;
 using KernelFn =
     std::function<Result<Buffer>(ByteSpan input, const KernelParams& params)>;
 
+/// Told at launch that a job's first step will call the kernel's fn on
+/// `input` (the job's own bytes, immutable until the job is gone) with
+/// `params`, so the kernel may start the host work early.
+using KernelPrefetchFn = std::function<void(
+    std::shared_ptr<const Buffer> input, const KernelParams& params)>;
+
 /// A registered DP kernel.
 struct DpKernel {
   std::string name;
@@ -39,6 +46,11 @@ struct DpKernel {
   double cpu_cycles_per_byte = 1.0;
   uint64_t fixed_cycles = 0;
   KernelFn fn;
+  /// Optional; `ComputeEngine::Launch` calls it for a job's first step.
+  /// The hook belongs to the kernel, not to the engine, because `fn` may
+  /// be a caller's wrapper that must run on the simulation thread. A copy
+  /// of a kernel with its `fn` replaced keeps the hook.
+  KernelPrefetchFn prefetch = nullptr;
 };
 
 /// Name -> kernel lookup. `Builtin()` registers the kernels the paper
@@ -67,7 +79,8 @@ class KernelRegistry {
 /// Byte budget of the builtin compress kernel's process-wide output memo
 /// (dp_kernel.cc): stored input + output bytes, evicted least recently
 /// used first, except that the newest entry is always kept. So the memo
-/// holds at most max(budget, newest entry).
+/// holds at most max(budget, newest entry). The jobs whose compress the
+/// builtin's prefetch holds have at most this many input bytes as well.
 inline constexpr size_t kCompressMemoBudgetBytes = size_t{6} << 20;
 
 // Builtin kernel names.

@@ -40,8 +40,9 @@ class BitWriter {
     WriteBits(reversed, length);
   }
 
-  /// Pads with zero bits to the next byte boundary.
-  void AlignToByte() {
+  /// Pads with zero bits to the next byte boundary. (Not AlignToByte:
+  /// simscope resolves calls by name, and BitReader has that one.)
+  void PadToByte() {
     if (filled_ > 0) {
       out_->AppendU8(static_cast<uint8_t>(acc_));
       acc_ = 0;

@@ -266,33 +266,39 @@ class MatchFinder {
   size_t inserted_ = 0;
 };
 
-// Produces the token stream and each token's starting input offset.
-void Tokenize(ByteSpan in, MatchParams params, std::vector<Token>* tokens,
-              std::vector<uint32_t>* token_pos) {
+// Produces the token stream: emit(pos, token) for each token, in order,
+// with the input offset where the token starts.
+template <typename Emit>
+void Tokenize(ByteSpan in, MatchParams params, Emit&& emit) {
   MatchFinder finder(in, params);
   size_t pos = 0;
+  // A lazy step that emits a literal has already searched pos + 1. Once
+  // every earlier position is inserted, Find depends only on its
+  // position, so that result is the next step's Find(pos).
+  bool have_lookahead = false;
+  MatchFinder::Match lookahead;
   while (pos < in.size()) {
     finder.InsertUpTo(pos);
-    MatchFinder::Match m = finder.Find(pos);
+    MatchFinder::Match m = have_lookahead ? lookahead : finder.Find(pos);
+    have_lookahead = false;
     if (m.len >= kMinMatch && params.lazy && m.len < params.nice_length &&
         pos + 1 < in.size()) {
       // Lazy evaluation: prefer a longer match starting one byte later.
       finder.InsertUpTo(pos + 1);
       MatchFinder::Match next = finder.Find(pos + 1);
       if (next.len > m.len) {
-        tokens->push_back(Token{uint16_t(in[pos]), 0});
-        token_pos->push_back(static_cast<uint32_t>(pos));
+        emit(pos, Token{uint16_t(in[pos]), 0});
         ++pos;
+        have_lookahead = true;
+        lookahead = next;
         continue;
       }
     }
     if (m.len >= kMinMatch) {
-      tokens->push_back(Token{uint16_t(m.len), uint16_t(m.dist)});
-      token_pos->push_back(static_cast<uint32_t>(pos));
+      emit(pos, Token{uint16_t(m.len), uint16_t(m.dist)});
       pos += m.len;
     } else {
-      tokens->push_back(Token{uint16_t(in[pos]), 0});
-      token_pos->push_back(static_cast<uint32_t>(pos));
+      emit(pos, Token{uint16_t(in[pos]), 0});
       ++pos;
     }
   }
@@ -414,7 +420,7 @@ void WriteStored(BitWriter& bw, ByteSpan data, bool final) {
     bool last = final && (off + chunk == data.size());
     bw.WriteBits(last ? 1 : 0, 1);
     bw.WriteBits(0, 2);  // BTYPE=00
-    bw.AlignToByte();
+    bw.PadToByte();
     bw.WriteBits(static_cast<uint32_t>(chunk), 16);
     bw.WriteBits(static_cast<uint32_t>(~chunk) & 0xFFFF, 16);
     for (size_t i = 0; i < chunk; ++i) {
@@ -539,28 +545,30 @@ Result<Buffer> DeflateCompress(ByteSpan input, const DeflateOptions& options) {
     BlockCodes fixed = FixedCodes();
     bw.WriteHuffmanCode(fixed.litlen_codes[kEndOfBlock],
                         fixed.litlen_lengths[kEndOfBlock]);
-    bw.AlignToByte();
+    bw.PadToByte();
     return out;
   }
 
-  std::vector<Token> tokens;
-  std::vector<uint32_t> token_pos;
-  Tokenize(input, ParamsForLevel(options.level), &tokens, &token_pos);
-
+  // Blocks of kMaxTokensPerBlock tokens, each encoded as soon as the
+  // token after it starts (that token's offset ends the block's input
+  // range), so a call holds one block of tokens at a time.
   constexpr size_t kMaxTokensPerBlock = 65536;
-  size_t i = 0;
-  while (i < tokens.size()) {
-    size_t j = std::min(i + kMaxTokensPerBlock, tokens.size());
-    size_t range_begin = token_pos[i];
-    size_t range_end =
-        (j == tokens.size()) ? input.size() : token_pos[j];
-    std::span<const Token> block(tokens.data() + i, j - i);
-    bool final = (j == tokens.size());
-    EncodeBlock(bw, block,
-                input.subspan(range_begin, range_end - range_begin), final);
-    i = j;
-  }
-  bw.AlignToByte();
+  std::vector<Token> block;
+  block.reserve(std::min(kMaxTokensPerBlock, input.size()));
+  size_t block_begin = 0;
+  Tokenize(input, ParamsForLevel(options.level),
+           [&](size_t pos, Token token) {
+             if (block.size() == kMaxTokensPerBlock) {
+               EncodeBlock(bw, block,
+                           input.subspan(block_begin, pos - block_begin),
+                           /*final=*/false);
+               block.clear();
+             }
+             if (block.empty()) block_begin = pos;
+             block.push_back(token);
+           });
+  EncodeBlock(bw, block, input.subspan(block_begin), /*final=*/true);
+  bw.PadToByte();
   return out;
 }
 

@@ -5,7 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <iterator>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "core/compute/compute_engine.h"
 #include "core/compute/sproc.h"
@@ -333,24 +337,173 @@ TEST(CompressMemoTest, ConcurrentCallersGetDeflateBytes) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
+// Every CE target: BlueField-2's compression ASIC, DPU and host cores,
+// and a PCIe accelerator.
+struct AllTargetsFixture {
+  explicit AllTargetsFixture(
+      KernelRegistry registry = KernelRegistry::Builtin())
+      : server(&sim, Spec()), engine(&server, std::move(registry)) {}
+  static hw::ServerSpec Spec() {
+    hw::ServerSpec spec = hw::MakeServerSpec("s", hw::BlueField2Spec());
+    spec.pcie_accelerator = hw::PcieAcceleratorSpec{};
+    return spec;
+  }
+
+  sim::Simulator sim;
+  hw::Server server;
+  ComputeEngine engine;
+};
+
+constexpr ExecTarget kAllTargets[] = {
+    ExecTarget::kDpuAsic, ExecTarget::kDpuCpu, ExecTarget::kHostCpu,
+    ExecTarget::kPcieAccel, ExecTarget::kAuto};
+
+// Text that no other test compresses: `tag` picks the seed.
+Buffer DistinctText(size_t bytes, uint64_t tag) {
+  return kern::GenerateText(bytes, {1000 + tag});
+}
+
+// The copy keeps the builtin's prefetch hook, so its jobs start the
+// builtin's DEFLATE at launch; the replacement fn never takes those
+// outputs, and the builtin's own callers still get DEFLATE's bytes.
 TEST(CompressMemoTest, KernelRegisteredUnderTheBuiltinNameBypassesIt) {
   Buffer text = kern::GenerateText(4096, {12});
   EXPECT_EQ(BuiltinCompress(text), Deflate(text));
   const Buffer stand_in_output(std::string_view("stand-in"));
   DpKernel stand_in = *KernelRegistry::Builtin().Find(kKernelCompress);
+  EXPECT_TRUE(stand_in.prefetch);
   stand_in.fn = [&stand_in_output](ByteSpan,
                                    const KernelParams&) -> Result<Buffer> {
     return stand_in_output;
   };
   KernelRegistry registry;
   ASSERT_TRUE(registry.Register(std::move(stand_in)).ok());
-  CeFixture f(hw::BlueField2Spec(), {}, std::move(registry));
-  auto item = f.engine.Invoke(kKernelCompress, text, {},
-                              {ExecTarget::kDpuCpu});
-  ASSERT_TRUE(item.ok());
+  AllTargetsFixture f(std::move(registry));
+  std::vector<Buffer> inputs = {text};
+  for (int i = 0; i < 4; ++i) inputs.push_back(DistinctText(64 << 10, i));
+  std::vector<WorkItemPtr> items;
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    auto item = f.engine.Invoke(kKernelCompress, inputs[i], {},
+                                {kAllTargets[i % std::size(kAllTargets)]});
+    ASSERT_TRUE(item.ok()) << item.status();
+    items.push_back(*item);
+  }
   f.sim.Run();
-  ASSERT_TRUE((*item)->result().ok());
-  EXPECT_EQ((*item)->result().value(), stand_in_output);
+  for (const WorkItemPtr& item : items) {
+    ASSERT_TRUE(item->result().ok());
+    EXPECT_EQ(item->result().value(), stand_in_output);
+  }
+  for (const Buffer& input : inputs) {
+    EXPECT_EQ(BuiltinCompress(input), Deflate(input));
+  }
+}
+
+// --- compress prefetch ----------------------------------------------------
+//
+// The builtin compress starts each job's DEFLATE on a helper thread at
+// launch (DESIGN.md §4b), so every engine test that runs it uses real
+// threads; the TSan CI job runs all of ce_test.
+
+TEST(CompressPrefetchTest, OverlappingJobsOnEveryTargetGetDeflateBytes) {
+  AllTargetsFixture f;
+  std::vector<Buffer> inputs;
+  std::vector<int> levels;
+  std::vector<WorkItemPtr> items;
+  for (int i = 0; i < 16; ++i) {
+    // The last job repeats the first one's input while both are in flight.
+    inputs.push_back(i == 15 ? inputs[0]
+                             : DistinctText((48 << 10) + i * 4096, 100 + i));
+    levels.push_back(i == 15 ? levels[0] : 1 + i % 9);
+    auto item = f.engine.Invoke(kKernelCompress, inputs[i],
+                                {{"level", std::to_string(levels[i])}},
+                                {kAllTargets[i % std::size(kAllTargets)]});
+    ASSERT_TRUE(item.ok()) << item.status();
+    items.push_back(*item);
+  }
+  f.sim.Run();
+  for (size_t i = 0; i < items.size(); ++i) {
+    ASSERT_TRUE(items[i]->result().ok()) << i;
+    EXPECT_EQ(items[i]->result().value(), Deflate(inputs[i], levels[i]))
+        << i;
+  }
+}
+
+TEST(CompressPrefetchTest, SimulatorDestroyedWithPrefetchesInFlight) {
+  std::vector<Buffer> inputs;
+  for (int i = 0; i < 8; ++i) {
+    inputs.push_back(DistinctText(256 << 10, 200 + i));
+  }
+  {
+    AllTargetsFixture f;
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      ASSERT_TRUE(f.engine
+                      .Invoke(kKernelCompress, inputs[i], {},
+                              {kAllTargets[i % std::size(kAllTargets)]})
+                      .ok());
+    }
+  }  // no job completed: the prefetches are queued, running or done
+  for (const Buffer& input : inputs) {
+    EXPECT_EQ(BuiltinCompress(input), Deflate(input));
+  }
+}
+
+// The process exits while helpers run and more prefetches are queued:
+// each helper finishes the compress it runs, no queued one starts, and
+// exit returns. A fresh process, so that this test's prefetches are the
+// only ones.
+TEST(CompressPrefetchDeathTest, ExitWithPrefetchesInFlightDoesNotHang) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        AllTargetsFixture f;
+        for (int i = 0; i < 8; ++i) {
+          if (!f.engine
+                   .Invoke(kKernelCompress, DistinctText(512 << 10, 300 + i),
+                           {}, {ExecTarget::kHostCpu})
+                   .ok()) {
+            std::exit(1);
+          }
+        }
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "");
+}
+
+// perfbench's pattern: a copy of the builtin whose fn wraps the builtin's
+// fn. The wrapper runs once per job, on the simulation thread, and gets
+// DEFLATE's bytes.
+TEST(CompressPrefetchTest, WrapperAroundTheBuiltinFnGetsDeflateBytes) {
+  DpKernel wrapped = *KernelRegistry::Builtin().Find(kKernelCompress);
+  const std::thread::id sim_thread = std::this_thread::get_id();
+  int calls = 0;
+  int off_thread_calls = 0;
+  wrapped.fn = [fn = std::move(wrapped.fn), sim_thread, &calls,
+                &off_thread_calls](ByteSpan input,
+                                   const KernelParams& params) {
+    ++calls;
+    if (std::this_thread::get_id() != sim_thread) ++off_thread_calls;
+    return fn(input, params);
+  };
+  KernelRegistry registry;
+  ASSERT_TRUE(registry.Register(std::move(wrapped)).ok());
+  AllTargetsFixture f(std::move(registry));
+  std::vector<Buffer> inputs;
+  std::vector<WorkItemPtr> items;
+  for (int i = 0; i < 10; ++i) {
+    inputs.push_back(i % 4 == 3 ? inputs[i - 1]
+                                : DistinctText(96 << 10, 500 + i));
+    auto item = f.engine.Invoke(kKernelCompress, inputs[i], {},
+                                {kAllTargets[i % std::size(kAllTargets)]});
+    ASSERT_TRUE(item.ok()) << item.status();
+    items.push_back(*item);
+  }
+  f.sim.Run();
+  for (size_t i = 0; i < items.size(); ++i) {
+    ASSERT_TRUE(items[i]->result().ok()) << i;
+    EXPECT_EQ(items[i]->result().value(), Deflate(inputs[i])) << i;
+  }
+  EXPECT_EQ(calls, 10);
+  EXPECT_EQ(off_thread_calls, 0);
 }
 
 TEST(ComputeEngineTest, MalformedCounterIsInvalidArgument) {

@@ -33,7 +33,7 @@ TEST(BitIoTest, WriterReaderRoundTrip) {
   w.WriteBits(0xFFFF, 16);
   w.WriteBits(0, 5);
   w.WriteBits(0b1101, 4);
-  w.AlignToByte();
+  w.PadToByte();
 
   BitReader r(buf.span());
   uint32_t v;
@@ -53,7 +53,7 @@ TEST(BitIoTest, LsbFirstPacking) {
   w.WriteBits(1, 1);  // bit 0 of first byte
   w.WriteBits(0, 1);
   w.WriteBits(1, 1);  // bit 2
-  w.AlignToByte();
+  w.PadToByte();
   ASSERT_EQ(buf.size(), 1u);
   EXPECT_EQ(buf[0], 0b00000101);
 }
@@ -63,7 +63,7 @@ TEST(BitIoTest, HuffmanCodeIsBitReversed) {
   BitWriter w(&buf);
   // Code value 0b110 (MSB-first) must appear as bits 0,1,1.
   w.WriteHuffmanCode(0b110, 3);
-  w.AlignToByte();
+  w.PadToByte();
   EXPECT_EQ(buf[0], 0b00000011);
 }
 
@@ -226,7 +226,7 @@ TEST(HuffmanTest, DecoderRoundTripsCanonicalCode) {
     Buffer buf;
     BitWriter w(&buf);
     w.WriteHuffmanCode(codes[sym], lengths[sym]);
-    w.AlignToByte();
+    w.PadToByte();
     BitReader r(buf.span());
     int got;
     ASSERT_TRUE(dec.Decode(r, &got).ok());
@@ -311,7 +311,7 @@ TEST(InflateTest, RejectsDistanceBeforeStart) {
   w.WriteHuffmanCode(0, 5);
   // EOB.
   w.WriteHuffmanCode(0, 7);
-  w.AlignToByte();
+  w.PadToByte();
   EXPECT_TRUE(DeflateDecompress(buf.span()).status().IsCorruption());
 }
 
@@ -527,6 +527,32 @@ TEST(DeflateTest, OutputBytesArePinned) {
           << "kind " << kind << " level " << level << " {" << total << ", 0x"
           << std::hex << fold << "}";
     }
+  }
+}
+
+// DeflateCompress encodes each 65536-token block once the next token
+// starts. OutputBytesArePinned stops at 300 KB, one block of text, so
+// this pins text that spans several blocks and a prefix whose token
+// count is exactly 2 * 65536, so its final block is a full one.
+TEST(DeflateTest, MultiBlockOutputBytesArePinned) {
+  Buffer text = GenerateText(1 << 20, {});
+  struct Case {
+    size_t size;
+    int level;
+    uint64_t bytes;
+    uint32_t crc;
+  };
+  constexpr Case kCases[] = {{1 << 20, 1, 369533, 0x0a0465b3},
+                             {1 << 20, 6, 327455, 0xa0cf3a43},
+                             {1 << 20, 9, 316342, 0x79fc5998},
+                             {687365, 1, 242299, 0x781795c7}};
+  for (const Case& c : kCases) {
+    auto out = DeflateCompress(text.span().subspan(0, c.size),
+                               DeflateOptions{c.level});
+    ASSERT_TRUE(out.ok()) << out.status();
+    EXPECT_EQ(out->size(), c.bytes) << c.size << " bytes, level " << c.level;
+    EXPECT_EQ(Crc32(out->span()), c.crc)
+        << c.size << " bytes, level " << c.level;
   }
 }
 
