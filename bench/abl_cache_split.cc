@@ -52,7 +52,7 @@ double Run(double dpu_cache_share, double host_fraction) {
   se::HostFileClient& host = server.storage().host_client();
   host.EnableHostCache(kTotalCache - uint64_t(kTotalCache * dpu_cache_share));
 
-  se::RemoteStorageClient rsc(&client.network(), 1, 9000);
+  se::RemoteStorageClient rsc(&client.network(), 1, se::kStorageListenPort);
   ZipfGenerator zipf(kFilePages, 0.99);
   Histogram latency;
 

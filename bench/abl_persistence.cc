@@ -35,7 +35,7 @@ Histogram Run(se::PersistMode mode, size_t write_bytes, int writes) {
   auto file = server.fs().Create("wal");
   DPDPU_CHECK(file.ok());
 
-  se::RemoteStorageClient rsc(&client.network(), 1, 9000);
+  se::RemoteStorageClient rsc(&client.network(), 1, se::kStorageListenPort);
   Buffer payload = kern::GenerateRandomBytes(write_bytes, 3);
   Histogram ack_latency;
   int next_write = 0;

@@ -56,7 +56,7 @@ Point Run(double rate, double offload_fraction) {
   std::vector<std::unique_ptr<se::RemoteStorageClient>> clients;
   for (int i = 0; i < kClients; ++i) {
     clients.push_back(std::make_unique<se::RemoteStorageClient>(
-        &client.network(), 1, 9000));
+        &client.network(), 1, se::kStorageListenPort));
   }
 
   constexpr sim::SimTime kWindow = 5 * sim::kMillisecond;

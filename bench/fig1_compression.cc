@@ -20,12 +20,11 @@ using namespace dpdpu;  // NOLINT: bench brevity
 
 namespace {
 
-sim::SimTime CompressOnce(ce::ExecTarget target, size_t bytes,
+sim::SimTime CompressOnce(ce::ExecTarget target, Buffer text,
                           rt::KernelOutputCrc* crc) {
   sim::Simulator sim;
   hw::Server server(&sim, hw::DefaultServerSpec());
   ce::ComputeEngine engine(&server, ce::KernelRegistry::Builtin());
-  Buffer text = kern::GenerateText(bytes, {uint64_t(bytes), 8192, 0.95});
   auto item = engine.Invoke(ce::kKernelCompress, std::move(text), {},
                             {target});
   if (!item.ok()) return 0;
@@ -49,9 +48,12 @@ int main() {
   double min_gain = 1e30, max_gain = 0;
   for (size_t mb : {1, 2, 4, 8, 16, 32}) {
     size_t bytes = mb << 20;
-    sim::SimTime epyc = CompressOnce(ce::ExecTarget::kHostCpu, bytes, &crc);
-    sim::SimTime arm = CompressOnce(ce::ExecTarget::kDpuCpu, bytes, &crc);
-    sim::SimTime asic = CompressOnce(ce::ExecTarget::kDpuAsic, bytes, &crc);
+    // One text per size; each target compresses its own copy.
+    Buffer text = kern::GenerateText(bytes, {uint64_t(bytes), 8192, 0.95});
+    sim::SimTime epyc = CompressOnce(ce::ExecTarget::kHostCpu, text, &crc);
+    sim::SimTime arm = CompressOnce(ce::ExecTarget::kDpuCpu, text, &crc);
+    sim::SimTime asic =
+        CompressOnce(ce::ExecTarget::kDpuAsic, std::move(text), &crc);
     double gain = double(epyc) / double(asic);
     min_gain = std::min(min_gain, gain);
     max_gain = std::max(max_gain, gain);

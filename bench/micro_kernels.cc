@@ -134,10 +134,9 @@ void BM_FilterPage(benchmark::State& state) {
   }
   Buffer page = builder.Finish();
   auto reader = kern::RowPageReader::Open(&schema, page.span());
-  auto pred = kern::Predicate::Compare(0, kern::CompareOp::kLt,
-                                       kern::Value(int64_t(100)));
+  kern::Predicate pred{0, kern::CompareOp::kLt, kern::Value(int64_t(100))};
   for (auto _ : state) {
-    auto rows = kern::FilterPage(*reader, *pred);
+    auto rows = kern::FilterPage(*reader, pred);
     benchmark::DoNotOptimize(rows);
   }
   state.SetItemsProcessed(int64_t(state.iterations()) * state.range(0));

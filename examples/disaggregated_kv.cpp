@@ -86,7 +86,7 @@ int main() {
       });
   server.storage().Serve();
 
-  se::RemoteStorageClient kv(&app.network(), 1, 9000);
+  se::RemoteStorageClient kv(&app.network(), 1, se::kStorageListenPort);
   auto put = [&](const std::string& key, const std::string& value,
                  std::function<void(Status)> cb) {
     kv.Write(*file, uint64_t(BucketOf(key)) * kBucketBytes,

@@ -119,7 +119,7 @@ class KvClient {
       it = connections_
                .emplace(node, std::make_unique<se::RemoteStorageClient>(
                                   &fleet_->client(client_index_).network(),
-                                  node, 9000))
+                                  node, se::kStorageListenPort))
                .first;
     }
     return it->second.get();

@@ -92,7 +92,7 @@ int main() {
       });
   server.storage().Serve();
 
-  se::RemoteStorageClient client(&compute.network(), 1, 9000);
+  se::RemoteStorageClient client(&compute.network(), 1, se::kStorageListenPort);
 
   // Workload: a stream of log appends (host path) and page reads (DPU
   // path), interleaved.

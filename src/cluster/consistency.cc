@@ -41,7 +41,6 @@ uint64_t ConsistencyManager::NextVersion(uint64_t offset, uint64_t key,
   AuthorityEntry& entry = authority_[offset];
   entry.key = key;
   entry.length = length;
-  ++stats_.versions_issued;
   return ++entry.next_version;
 }
 
@@ -171,7 +170,7 @@ struct CatchUpJob : std::enable_shared_from_this<CatchUpJob> {
     if (!to_node) {
       to_node = std::make_unique<se::RemoteStorageClient>(
           &fleet->client(0).network(), fleet->storage_node_id(node_index),
-          fleet->spec().storage_template.storage.listen_port);
+          se::kStorageListenPort);
     }
     return to_node.get();
   }
@@ -183,8 +182,7 @@ struct CatchUpJob : std::enable_shared_from_this<CatchUpJob> {
                .emplace(donor,
                         std::make_unique<se::RemoteStorageClient>(
                             &fleet->client(0).network(), donor,
-                            fleet->spec()
-                                .storage_template.storage.listen_port))
+                            se::kStorageListenPort))
                .first;
     }
     return it->second.get();

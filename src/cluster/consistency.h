@@ -55,7 +55,6 @@ struct ConsistencyOptions {
 class ConsistencyManager {
  public:
   struct Stats {
-    uint64_t versions_issued = 0;
     /// Commit() calls that raised the committed version (re-publishing
     /// an already-committed version is idempotent and not counted).
     uint64_t commits = 0;
@@ -82,7 +81,6 @@ class ConsistencyManager {
     /// Transfers that stood down because the node failed again mid
     /// catch-up; their unreplayed hints are handed back to the queue.
     uint64_t catchups_aborted = 0;
-    uint64_t read_repairs = 0;
   };
 
   ConsistencyManager(Fleet* fleet, ConsistencyOptions options);
@@ -131,12 +129,6 @@ class ConsistencyManager {
   /// flight for it.
   bool BeginRepair(uint32_t node_index, uint64_t offset);
   void EndRepair(uint32_t node_index, uint64_t offset);
-  void NoteReadRepair() {
-    DPDPU_SIM_ACCESS(race_tag_, "ConsistencyManager",
-                     sim::RaceKey(kRaceSaltRepairs, 0),
-                     sim::AccessKind::kCommutativeWrite);
-    ++stats_.read_repairs;
-  }
 
   const Stats& stats() const { return stats_; }
 

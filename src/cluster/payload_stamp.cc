@@ -53,11 +53,4 @@ std::optional<PayloadStamp> ParsePayloadStamp(ByteSpan data) {
   return stamp;
 }
 
-bool VerifyStampedPayload(ByteSpan data) {
-  std::optional<PayloadStamp> stamp = ParsePayloadStamp(data);
-  if (!stamp) return false;
-  Buffer expected = MakeStampedPayload(data.size(), *stamp);
-  return std::equal(data.begin(), data.end(), expected.span().begin());
-}
-
 }  // namespace dpdpu::cluster

@@ -33,10 +33,6 @@ Buffer MakeStampedPayload(size_t bytes, const PayloadStamp& stamp);
 /// does not match (e.g. a never-written all-zero shard block).
 std::optional<PayloadStamp> ParsePayloadStamp(ByteSpan data);
 
-/// Full verification: header parses and every body byte matches the
-/// deterministic fill for that stamp. Detects torn or corrupted blocks.
-bool VerifyStampedPayload(ByteSpan data);
-
 }  // namespace dpdpu::cluster
 
 #endif  // DPDPU_CLUSTER_PAYLOAD_STAMP_H_

@@ -72,8 +72,7 @@ se::RemoteStorageClient* FleetClient::ClientFor(netsub::NodeId node) {
              .emplace(node,
                       std::make_unique<se::RemoteStorageClient>(
                           &fleet_->client(client_index_).network(), node,
-                          fleet_->spec()
-                              .storage_template.storage.listen_port))
+                          se::kStorageListenPort))
              .first;
   }
   return it->second.get();
@@ -299,7 +298,6 @@ void FleetClient::RepairReplica(netsub::NodeId node, uint64_t offset,
         fleet_->NoteRpcDone(node);
         fleet_->consistency().EndRepair(index, offset);
         if (s.ok()) {
-          fleet_->consistency().NoteReadRepair();
           DPDPU_SIM_ACCESS(race_tag_, "FleetClient", /*key=*/0,
                            sim::AccessKind::kCommutativeWrite);
           ++stats_.read_repairs;

@@ -3,8 +3,6 @@
 namespace dpdpu {
 
 namespace {
-LogLevel g_level = LogLevel::kWarn;
-
 const char* LevelName(LogLevel level) {
   switch (level) {
     case LogLevel::kDebug:
@@ -20,8 +18,7 @@ const char* LevelName(LogLevel level) {
 }
 }  // namespace
 
-LogLevel GetLogLevel() { return g_level; }
-void SetLogLevel(LogLevel level) { g_level = level; }
+LogLevel GetLogLevel() { return LogLevel::kWarn; }
 
 namespace internal_logging {
 

@@ -1,5 +1,5 @@
-// Minimal leveled logging. Disabled below the compile-time threshold and
-// cheap when the runtime level filters a message out. Not thread-safe by
+// Minimal leveled logging. Messages below the fixed threshold (kWarn)
+// cost one comparison and are dropped. Not thread-safe by
 // design: DPDPU's simulator is single-threaded; the process-wide compress
 // memo is the only code real threads share, and it does not log.
 
@@ -15,9 +15,8 @@ namespace dpdpu {
 
 enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
 
-/// Global runtime log threshold; messages below it are dropped.
+/// Log threshold; messages below it are dropped.
 LogLevel GetLogLevel();
-void SetLogLevel(LogLevel level);
 
 namespace internal_logging {
 

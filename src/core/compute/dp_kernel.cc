@@ -316,9 +316,10 @@ void RunCompressHelper(CompressPrefetchQueue& queue) {
   }
 }
 
-// One helper per host core but the simulation thread's, at most 2: two
-// matched three on perfbench's kernel_offload, and each helper's malloc
-// arena adds to peak RSS.
+// One helper per host core but the simulation thread's, at most 2. A
+// third ran perfbench's kernel_offload about 11 % faster, but each
+// helper's malloc arena adds to peak RSS, and three took kernel_hot's
+// close to its bound.
 int CompressHelperCount() {
   int cores = static_cast<int>(std::thread::hardware_concurrency());
   return std::clamp(cores - 1, 0, 2);
@@ -460,9 +461,9 @@ Result<Buffer> FilterFn(ByteSpan input, const KernelParams& params) {
   DPDPU_ASSIGN_OR_RETURN(kern::CompareOp op,
                          OpFromString(ParamOr(params, "op", "==")));
   DPDPU_ASSIGN_OR_RETURN(kern::Value literal, LiteralFromParams(params));
-  auto pred = kern::Predicate::Compare(size_t(col), op, std::move(literal));
+  kern::Predicate pred{size_t(col), op, std::move(literal)};
   DPDPU_ASSIGN_OR_RETURN(std::vector<uint32_t> rows,
-                         kern::FilterPage(reader, *pred));
+                         kern::FilterPage(reader, pred));
   return kern::MaterializeRows(reader, rows);
 }
 

@@ -82,9 +82,6 @@ class AdmissionQueue {
   bool empty() const { return size_ == 0; }
   size_t size() const { return size_; }
 
-  Discipline discipline() const { return discipline_; }
-  void set_discipline(Discipline d) { discipline_ = d; }
-
  private:
   struct Entry {
     uint64_t weight;

@@ -70,26 +70,6 @@ Status RdmaEndpoint::Write(uint64_t wr_id, netsub::MrKey local, size_t loff,
   });
 }
 
-Status RdmaEndpoint::Send(uint64_t wr_id, ByteSpan data) {
-  // The native post runs before Issue returns, so it posts the caller's
-  // span; the deferred post outlives those bytes and carries a copy.
-  if (path_ == RdmaPath::kNative) {
-    return Issue(OpType::kSend, wr_id,
-                 [&] { return qp_->PostSend(wr_id, data); });
-  }
-  return Issue(OpType::kSend, wr_id,
-               [this, wr_id, copy = Buffer(data.data(), data.size())] {
-                 return qp_->PostSend(wr_id, copy.span());
-               });
-}
-
-Status RdmaEndpoint::Recv(uint64_t wr_id, netsub::MrKey local, size_t loff,
-                          size_t capacity) {
-  return Issue(OpType::kRecv, wr_id, [=, this] {
-    return qp_->PostRecv(wr_id, local, loff, capacity);
-  });
-}
-
 bool RdmaEndpoint::PollCompletion(netsub::RdmaCompletion* out) {
   if (!host_cq_->Poll(out)) return false;
   server_->host_cpu().Execute(path_ == RdmaPath::kNative

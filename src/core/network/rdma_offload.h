@@ -1,6 +1,6 @@
-// RDMA issue paths (paper Figure 7). One endpoint drives the same
-// netsub::QueuePair verbs on either path; the paths differ only in
-// where the issue and completion cycles land:
+// RDMA issue paths (paper Figure 7). One endpoint posts the same
+// one-sided netsub::QueuePair verbs, READ and WRITE, on either path;
+// the paths differ only in where the issue and completion cycles land:
 //
 //  * kNative — the host issues directly: queue-pair spinlock + memory
 //    fences (kRdmaNativeIssueCycles) plus a doorbell MMIO stall
@@ -41,9 +41,6 @@ class RdmaEndpoint {
               netsub::MrKey remote, size_t roff, size_t len);
   Status Write(uint64_t wr_id, netsub::MrKey local, size_t loff,
                netsub::MrKey remote, size_t roff, size_t len);
-  Status Send(uint64_t wr_id, ByteSpan data);
-  Status Recv(uint64_t wr_id, netsub::MrKey local, size_t loff,
-              size_t capacity);
 
   /// Non-blocking completion reap (host-side cost charged per poll that
   /// returns an entry).

@@ -32,12 +32,6 @@ double UtilizationProbe::dpu_cores() const {
                            double(window);
 }
 
-std::string Fmt(double value, int decimals) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", decimals, value);
-  return buf;
-}
-
 void EmitJsonMetric(const std::string& bench, const std::string& metric,
                     double value, const std::string& unit, uint64_t seed) {
   // Metric names in this repo are identifier-shaped; no escaping needed.

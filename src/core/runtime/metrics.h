@@ -38,9 +38,6 @@ class UtilizationProbe {
   sim::SimTime dpu_busy_stop_ = 0;
 };
 
-/// Formats a double with fixed precision (bench table output helper).
-std::string Fmt(double value, int decimals = 2);
-
 /// Emits one machine-readable metric line to stdout, alongside the human
 /// tables, so perf trajectories can be scraped into BENCH_*.json files:
 ///   {"bench":"<bench>","metric":"<metric>","value":<v>,"unit":"<unit>","seed":<seed>}

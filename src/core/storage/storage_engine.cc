@@ -278,7 +278,7 @@ StorageEngine::StorageEngine(hw::Server* server, ne::NetworkEngine* network,
 }
 
 void StorageEngine::Serve() {
-  network_->Listen(options_.listen_port, [this](ne::NeSocket* socket) {
+  network_->Listen(kStorageListenPort, [this](ne::NeSocket* socket) {
     // The server endpoint is the DPU itself: requests are classified and
     // (when offloadable) served without a host crossing (Figure 8).
     socket->SetLanding(ne::SocketLanding::kDpu);

@@ -275,10 +275,12 @@ class HostFileClient {
 // Storage engine (server side) and remote client.
 // ---------------------------------------------------------------------------
 
+/// The TCP port every storage engine serves remote requests on.
+inline constexpr uint16_t kStorageListenPort = 9000;
+
 struct StorageEngineOptions {
   uint64_t dpu_cache_bytes = 1ull << 30;
   PersistMode persist_mode = PersistMode::kWriteThrough;
-  uint16_t listen_port = 9000;
 };
 
 class StorageEngine {

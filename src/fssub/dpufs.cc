@@ -221,7 +221,6 @@ Status DpuFs::Checkpoint() {
   DPDPU_RETURN_IF_ERROR(WriteSuperblock(next_seq_));
   DPDPU_RETURN_IF_ERROR(journal_->Reset());
   checkpoint_seq_ = next_seq_;
-  ++stats_.checkpoints;
   return Status::Ok();
 }
 
@@ -285,10 +284,7 @@ Status DpuFs::AppendJournal(ByteSpan payload) {
     DPDPU_RETURN_IF_ERROR(Checkpoint());
     s = journal_->Append(next_seq_, payload);
   }
-  if (s.ok()) {
-    ++next_seq_;
-    ++stats_.journal_appends;
-  }
+  if (s.ok()) ++next_seq_;
   return s;
 }
 
@@ -469,7 +465,6 @@ Result<std::vector<Extent>> DpuFs::AllocateBlocks(uint64_t blocks) {
     }
     uint64_t take = std::min(best_len, remaining);
     for (uint64_t i = 0; i < take; ++i) bitmap_[best_start + i] = true;
-    stats_.blocks_allocated += take;
     out.push_back(Extent{kDataStart + best_start,
                          static_cast<uint32_t>(take)});
     remaining -= take;

@@ -37,9 +37,6 @@ struct Extent {
 };
 
 struct DpuFsStats {
-  uint64_t journal_appends = 0;
-  uint64_t checkpoints = 0;
-  uint64_t blocks_allocated = 0;
   uint64_t replayed_records = 0;
 };
 
@@ -78,9 +75,9 @@ class DpuFs {
   /// Persists all metadata and truncates the journal.
   Status Checkpoint();
 
-  /// The extent list backing `file` — exposed because the DPU "owns the
-  /// file mapping" and the SE offload engine translates remote requests
-  /// directly to block spans.
+  /// The extent list backing `file`: the block map the DPU "owns". The
+  /// offload path does not use it; ServeFileRequest reads through
+  /// FileService, which calls Read.
   Result<std::vector<Extent>> FileExtents(FileId file) const;
 
   const DpuFsStats& stats() const { return stats_; }

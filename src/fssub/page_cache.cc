@@ -59,7 +59,6 @@ void PageCache::Put(const PageKey& key, Buffer page) {
   }
   while (used_ + page.size() > capacity_) EvictOne();
   used_ += page.size();
-  ++stats_.insertions;
   // New pages enter unreferenced (inactive-list style): a page must be
   // *re*-accessed to earn its second chance, so scans cannot flush pages
   // the workload is actively re-reading.
@@ -82,16 +81,6 @@ void PageCache::Erase(const PageKey& key) {
   }
   entries_.pop_back();
   if (hand_ > entries_.size()) hand_ = 0;
-}
-
-void PageCache::EraseFile(uint32_t file) {
-  for (size_t i = 0; i < entries_.size();) {
-    if (entries_[i].key.file == file) {
-      Erase(entries_[i].key);
-    } else {
-      ++i;
-    }
-  }
 }
 
 bool PageCache::ReadRange(uint32_t file, uint64_t offset, uint32_t length,
@@ -128,11 +117,6 @@ void PageCache::EraseRange(uint32_t file, uint64_t offset, uint64_t length) {
   if (length == 0) return;
   uint64_t last = (offset + length - 1) / kPageBytes;
   for (uint64_t p = offset / kPageBytes; p <= last; ++p) Erase({file, p});
-}
-
-void PageCache::Resize(uint64_t capacity_bytes) {
-  capacity_ = capacity_bytes;
-  while (used_ > capacity_ && !entries_.empty()) EvictOne();
 }
 
 std::vector<PageKey> PageCache::ResidentPages() const {

@@ -42,7 +42,6 @@ struct PageKeyHash {
 struct PageCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
-  uint64_t insertions = 0;
   uint64_t evictions = 0;
 
   double HitRate() const {
@@ -79,9 +78,6 @@ class PageCache {
   /// Drops one page (e.g. on invalidation by a write).
   void Erase(const PageKey& key);
 
-  /// Drops every page of a file (e.g. on delete).
-  void EraseFile(uint32_t file);
-
   // Byte-range operations over kPageBytes pages.
 
   /// Assembles [offset, offset + length) from resident pages into `out`.
@@ -98,9 +94,6 @@ class PageCache {
 
   /// Drops every page overlapping [offset, offset + length).
   void EraseRange(uint32_t file, uint64_t offset, uint64_t length);
-
-  /// Changes capacity, evicting as needed.
-  void Resize(uint64_t capacity_bytes);
 
   /// Resident page keys sorted by (file, page). The clock arena's
   /// physical order depends on the eviction/erase history (swap-with-back

@@ -174,38 +174,6 @@ Result<Value> RowPageReader::Get(size_t row, size_t col) const {
 // Predicate.
 // ---------------------------------------------------------------------------
 
-PredicatePtr Predicate::Compare(size_t col, CompareOp op, Value literal) {
-  auto p = std::unique_ptr<Predicate>(new Predicate());
-  p->kind_ = Kind::kCompare;
-  p->col_ = col;
-  p->op_ = op;
-  p->literal_ = std::move(literal);
-  return p;
-}
-
-PredicatePtr Predicate::And(PredicatePtr l, PredicatePtr r) {
-  auto p = std::unique_ptr<Predicate>(new Predicate());
-  p->kind_ = Kind::kAnd;
-  p->left_ = std::move(l);
-  p->right_ = std::move(r);
-  return p;
-}
-
-PredicatePtr Predicate::Or(PredicatePtr l, PredicatePtr r) {
-  auto p = std::unique_ptr<Predicate>(new Predicate());
-  p->kind_ = Kind::kOr;
-  p->left_ = std::move(l);
-  p->right_ = std::move(r);
-  return p;
-}
-
-PredicatePtr Predicate::Not(PredicatePtr inner) {
-  auto p = std::unique_ptr<Predicate>(new Predicate());
-  p->kind_ = Kind::kNot;
-  p->left_ = std::move(inner);
-  return p;
-}
-
 namespace {
 
 template <typename T>
@@ -230,44 +198,23 @@ bool ApplyOp(CompareOp op, const T& a, const T& b) {
 }  // namespace
 
 Result<bool> Predicate::Eval(const RowPageReader& reader, size_t row) const {
-  switch (kind_) {
-    case Kind::kCompare: {
-      DPDPU_ASSIGN_OR_RETURN(Value cell, reader.Get(row, col_));
-      if (TypeOf(cell) != TypeOf(literal_)) {
-        // Permit int64-vs-double numeric comparison.
-        if (TypeOf(cell) != ColumnType::kString &&
-            TypeOf(literal_) != ColumnType::kString) {
-          return ApplyOp(op_, AsDouble(cell), AsDouble(literal_));
-        }
-        return Status::InvalidArgument("predicate: type mismatch");
-      }
-      if (std::holds_alternative<int64_t>(cell)) {
-        return ApplyOp(op_, std::get<int64_t>(cell),
-                       std::get<int64_t>(literal_));
-      }
-      if (std::holds_alternative<double>(cell)) {
-        return ApplyOp(op_, std::get<double>(cell),
-                       std::get<double>(literal_));
-      }
-      return ApplyOp(op_, std::get<std::string>(cell),
-                     std::get<std::string>(literal_));
+  DPDPU_ASSIGN_OR_RETURN(Value cell, reader.Get(row, col));
+  if (TypeOf(cell) != TypeOf(literal)) {
+    // Permit int64-vs-double numeric comparison.
+    if (TypeOf(cell) != ColumnType::kString &&
+        TypeOf(literal) != ColumnType::kString) {
+      return ApplyOp(op, AsDouble(cell), AsDouble(literal));
     }
-    case Kind::kAnd: {
-      DPDPU_ASSIGN_OR_RETURN(bool l, left_->Eval(reader, row));
-      if (!l) return false;
-      return right_->Eval(reader, row);
-    }
-    case Kind::kOr: {
-      DPDPU_ASSIGN_OR_RETURN(bool l, left_->Eval(reader, row));
-      if (l) return true;
-      return right_->Eval(reader, row);
-    }
-    case Kind::kNot: {
-      DPDPU_ASSIGN_OR_RETURN(bool inner, left_->Eval(reader, row));
-      return !inner;
-    }
+    return Status::InvalidArgument("predicate: type mismatch");
   }
-  return Status::Internal("predicate: unknown kind");
+  if (std::holds_alternative<int64_t>(cell)) {
+    return ApplyOp(op, std::get<int64_t>(cell), std::get<int64_t>(literal));
+  }
+  if (std::holds_alternative<double>(cell)) {
+    return ApplyOp(op, std::get<double>(cell), std::get<double>(literal));
+  }
+  return ApplyOp(op, std::get<std::string>(cell),
+                 std::get<std::string>(literal));
 }
 
 // ---------------------------------------------------------------------------
@@ -353,29 +300,6 @@ Result<Value> AggregateColumn(const RowPageReader& reader, size_t col,
       break;  // handled above
   }
   return Status::Internal("aggregate: unknown kind");
-}
-
-Result<std::map<int64_t, Value>> GroupByAggregate(const RowPageReader& reader,
-                                                  size_t key_col,
-                                                  size_t agg_col,
-                                                  AggregateKind kind) {
-  if (key_col >= reader.schema().num_columns() ||
-      reader.schema().column(key_col).type != ColumnType::kInt64) {
-    return Status::InvalidArgument("group by: key must be an int64 column");
-  }
-  // Bucket row indices per key, then reuse AggregateColumn.
-  std::map<int64_t, std::vector<uint32_t>> groups;
-  for (size_t row = 0; row < reader.row_count(); ++row) {
-    DPDPU_ASSIGN_OR_RETURN(Value key, reader.Get(row, key_col));
-    groups[std::get<int64_t>(key)].push_back(static_cast<uint32_t>(row));
-  }
-  std::map<int64_t, Value> out;
-  for (const auto& [key, rows] : groups) {
-    DPDPU_ASSIGN_OR_RETURN(Value v,
-                           AggregateColumn(reader, agg_col, kind, &rows));
-    out.emplace(key, std::move(v));
-  }
-  return out;
 }
 
 }  // namespace dpdpu::kern

@@ -7,8 +7,6 @@
 #define DPDPU_KERN_RELATIONAL_H_
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -101,29 +99,15 @@ class RowPageReader {
 
 enum class CompareOp : uint8_t { kEq, kNe, kLt, kLe, kGt, kGe };
 
-class Predicate;
-using PredicatePtr = std::unique_ptr<Predicate>;
-
-/// Predicate tree over row-page rows.
-class Predicate {
- public:
-  static PredicatePtr Compare(size_t col, CompareOp op, Value literal);
-  static PredicatePtr And(PredicatePtr l, PredicatePtr r);
-  static PredicatePtr Or(PredicatePtr l, PredicatePtr r);
-  static PredicatePtr Not(PredicatePtr inner);
+/// One comparison of a row's column against a literal: the predicate the
+/// `filter` kernel's params express.
+struct Predicate {
+  size_t col = 0;
+  CompareOp op = CompareOp::kEq;
+  Value literal;
 
   /// Evaluates against one row; type mismatches fail.
   Result<bool> Eval(const RowPageReader& reader, size_t row) const;
-
- private:
-  enum class Kind { kCompare, kAnd, kOr, kNot };
-
-  Kind kind_;
-  size_t col_ = 0;
-  CompareOp op_ = CompareOp::kEq;
-  Value literal_;
-  PredicatePtr left_;
-  PredicatePtr right_;
 };
 
 // ---------------------------------------------------------------------------
@@ -146,12 +130,6 @@ enum class AggregateKind : uint8_t { kCount, kSum, kMin, kMax, kAvg };
 Result<Value> AggregateColumn(const RowPageReader& reader, size_t col,
                               AggregateKind kind,
                               const std::vector<uint32_t>* rows = nullptr);
-
-/// Group-by on an int64 key column with a single aggregate.
-Result<std::map<int64_t, Value>> GroupByAggregate(const RowPageReader& reader,
-                                                  size_t key_col,
-                                                  size_t agg_col,
-                                                  AggregateKind kind);
 
 }  // namespace dpdpu::kern
 

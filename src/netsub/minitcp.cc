@@ -145,12 +145,10 @@ void TcpConnection::SendSegment(uint64_t seq, size_t len,
   // The span lives only for this call: Transmit copies it into the Packet.
   stack_->Transmit(this, kFlagAck, seq, rcv_nxt_, rwnd_advertised_,
                    ByteSpan(send_buffer_.data() + offset, len));
-  ++stats_.segments_sent;
 }
 
 void TcpConnection::SendControl(uint8_t flags, uint64_t seq) {
   stack_->Transmit(this, flags, seq, rcv_nxt_, rwnd_advertised_, ByteSpan());
-  ++stats_.segments_sent;
 }
 
 void TcpConnection::SendAck() { SendControl(kFlagAck, snd_nxt_); }
@@ -327,7 +325,6 @@ void TcpConnection::HandleAck(uint64_t ack, bool pure_ack) {
     // fired spurious fast retransmits whose number depended on how app
     // writes and arrivals happened to interleave.
     if (++dup_acks_ == 3) {
-      ++stats_.fast_retransmits;
       EnterRecovery(/*timeout=*/false);
       // Retransmit the first unacked segment.
       uint64_t start = std::max(snd_una_, uint64_t(1));
@@ -361,7 +358,6 @@ void TcpConnection::DeliverInOrder() {
         size_t skip = static_cast<size_t>(rcv_nxt_ - seq);
         ByteSpan fresh = data.span().subspan(skip);
         rcv_nxt_ += fresh.size();
-        stats_.bytes_delivered += fresh.size();
         if (on_receive_) on_receive_(fresh);
         it = out_of_order_.erase(it);
         progressed = true;
@@ -381,7 +377,6 @@ void TcpConnection::OnSegment(uint64_t seq, uint64_t ack, uint8_t flags,
                               uint32_t wnd, ByteSpan payload) {
   DPDPU_SIM_ACCESS(race_tag_, "TcpConnection", /*key=*/0,
                    sim::AccessKind::kCommutativeWrite);
-  ++stats_.segments_received;
 
   // Handshake transitions.
   if (flags & kFlagSyn) {
@@ -428,7 +423,6 @@ void TcpConnection::OnSegment(uint64_t seq, uint64_t ack, uint8_t flags,
         size_t skip = static_cast<size_t>(rcv_nxt_ - seq);
         ByteSpan fresh = payload.subspan(skip);
         rcv_nxt_ += fresh.size();
-        stats_.bytes_delivered += fresh.size();
         if (on_receive_) on_receive_(fresh);
         DeliverInOrder();
       } else {

@@ -46,11 +46,7 @@ struct TcpConfig {
 };
 
 struct TcpStats {
-  uint64_t segments_sent = 0;
-  uint64_t segments_received = 0;
-  uint64_t bytes_delivered = 0;
   uint64_t retransmissions = 0;
-  uint64_t fast_retransmits = 0;
   uint64_t timeouts = 0;
   uint64_t aborts = 0;
 };

@@ -54,7 +54,6 @@ void Network::Send(Packet packet) {
         }
         ++delivered_;
         bytes_delivered_ += wire;
-        it->second.rx_bytes += wire;
         if (sim::RaceChecker::Current() != nullptr) {
           uint64_t link = (uint64_t(packet.src) << 32) | packet.dst;
           link_chains_[link].Step();
@@ -69,11 +68,6 @@ void Network::SetNodeUp(NodeId node, bool up) {
   } else {
     down_[node] = true;
   }
-}
-
-uint64_t Network::bytes_delivered_to(NodeId node) const {
-  auto it = endpoints_.find(node);
-  return it == endpoints_.end() ? 0 : it->second.rx_bytes;
 }
 
 }  // namespace dpdpu::netsub

@@ -85,15 +85,14 @@ class Network {
   uint64_t packets_dropped() const { return dropped_; }
   uint64_t packets_dropped_node_down() const { return dropped_node_down_; }
 
-  /// Payload+header bytes delivered to `node` (fleet fabric accounting).
-  uint64_t bytes_delivered_to(NodeId node) const;
+  /// Payload+header bytes delivered to all nodes (fleet fabric
+  /// accounting).
   uint64_t total_bytes_delivered() const { return bytes_delivered_; }
 
  private:
   struct Endpoint {
     hw::NicPort* nic;
     RxHandler handler;
-    uint64_t rx_bytes = 0;
   };
 
   sim::Simulator* sim_;

@@ -13,8 +13,6 @@ constexpr uint8_t kMsgWrite = 1;
 constexpr uint8_t kMsgWriteAck = 2;
 constexpr uint8_t kMsgReadReq = 3;
 constexpr uint8_t kMsgReadResp = 4;
-constexpr uint8_t kMsgSend = 5;
-constexpr uint8_t kMsgSendAck = 6;
 constexpr uint8_t kMsgNack = 7;
 
 struct WireHeader {
@@ -53,6 +51,12 @@ bool Decode(ByteReader& r, WireHeader* h) {
          r.ReadU8(&h->nacked_op);
 }
 
+// [off, off + len) lies inside a region of `size` bytes. Written so that
+// offsets near 2^64 cannot wrap the sum past the check.
+bool InBounds(size_t size, uint64_t off, uint64_t len) {
+  return off <= size && len <= size - off;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -63,7 +67,7 @@ Status QueuePair::PostWrite(uint64_t wr_id, MrKey local, size_t loff,
                             MrKey remote_key, size_t roff, size_t len) {
   if (!remote_qp_set_) return Status::Unavailable("qp: not connected");
   DPDPU_ASSIGN_OR_RETURN(MutableByteSpan mem, nic_->Memory(local));
-  if (loff + len > mem.size()) {
+  if (!InBounds(mem.size(), loff, len)) {
     return Status::OutOfRange("qp: local write span out of region");
   }
   WireHeader h{};
@@ -85,7 +89,7 @@ Status QueuePair::PostRead(uint64_t wr_id, MrKey local, size_t loff,
                            MrKey remote_key, size_t roff, size_t len) {
   if (!remote_qp_set_) return Status::Unavailable("qp: not connected");
   DPDPU_ASSIGN_OR_RETURN(MutableByteSpan mem, nic_->Memory(local));
-  if (loff + len > mem.size()) {
+  if (!InBounds(mem.size(), loff, len)) {
     return Status::OutOfRange("qp: local read span out of region");
   }
   WireHeader h{};
@@ -101,40 +105,6 @@ Status QueuePair::PostRead(uint64_t wr_id, MrKey local, size_t loff,
   Buffer payload;
   Encode(h, &payload);
   nic_->SendWire(remote_node_, std::move(payload));
-  return Status::Ok();
-}
-
-Status QueuePair::PostSend(uint64_t wr_id, ByteSpan data) {
-  if (!remote_qp_set_) return Status::Unavailable("qp: not connected");
-  WireHeader h{};
-  h.type = kMsgSend;
-  h.src_qp = id_;
-  h.dst_qp = remote_qp_;
-  h.wr_id = wr_id;
-  h.len = static_cast<uint32_t>(data.size());
-  Buffer payload;
-  Encode(h, &payload);
-  payload.Append(data);
-  nic_->SendWire(remote_node_, std::move(payload));
-  return Status::Ok();
-}
-
-Status QueuePair::PostRecv(uint64_t wr_id, MrKey local, size_t loff,
-                           size_t capacity) {
-  DPDPU_SIM_ACCESS(race_tag_, "QueuePair", /*key=*/0,
-                   sim::AccessKind::kCommutativeWrite);
-  DPDPU_ASSIGN_OR_RETURN(MutableByteSpan mem, nic_->Memory(local));
-  if (loff + capacity > mem.size()) {
-    return Status::OutOfRange("qp: recv span out of region");
-  }
-  posted_recvs_.push_back(PostedRecv{wr_id, local, loff, capacity});
-  // Match any send that raced ahead of this recv.
-  while (!unmatched_sends_.empty() && !posted_recvs_.empty()) {
-    UnmatchedSend send = std::move(unmatched_sends_.front());
-    unmatched_sends_.pop_front();
-    nic_->HandleSend(id_, send.wr_id, send.data.span(), send.src,
-                     send.src_qp);
-  }
   return Status::Ok();
 }
 
@@ -183,7 +153,8 @@ void RdmaNic::HandleWrite(uint32_t dst_qp, uint64_t wr_id, uint32_t rkey,
   ack.len = static_cast<uint32_t>(data.size());
 
   auto it = regions_.find(rkey);
-  if (it == regions_.end() || roff + data.size() > it->second.size()) {
+  if (it == regions_.end() ||
+      !InBounds(it->second.size(), roff, data.size())) {
     ack.type = kMsgNack;
     ack.nacked_op = static_cast<uint8_t>(RdmaCompletion::OpType::kWrite);
   } else {
@@ -212,7 +183,7 @@ void RdmaNic::HandleRead(uint32_t dst_qp, uint64_t wr_id, uint32_t rkey,
 
   auto it = regions_.find(rkey);
   Buffer payload;
-  if (it == regions_.end() || roff + len > it->second.size()) {
+  if (it == regions_.end() || !InBounds(it->second.size(), roff, len)) {
     resp.type = kMsgNack;
     resp.nacked_op = static_cast<uint8_t>(RdmaCompletion::OpType::kRead);
     Encode(resp, &payload);
@@ -225,54 +196,13 @@ void RdmaNic::HandleRead(uint32_t dst_qp, uint64_t wr_id, uint32_t rkey,
   SendWire(src, std::move(payload));
 }
 
-void RdmaNic::HandleSend(uint32_t dst_qp, uint64_t wr_id, ByteSpan data,
-                         NodeId src, uint32_t src_qp) {
-  DPDPU_SIM_ACCESS(race_tag_, "RdmaNic", /*key=*/0,
-                   sim::AccessKind::kCommutativeWrite);
-  auto qp_it = qps_.find(dst_qp);
-  if (qp_it == qps_.end()) return;
-  QueuePair* qp = qp_it->second.get();
-
-  if (qp->posted_recvs_.empty()) {
-    qp->unmatched_sends_.push_back(QueuePair::UnmatchedSend{
-        wr_id, src, src_qp, Buffer(data.data(), data.size())});
-    return;
-  }
-  QueuePair::PostedRecv recv = qp->posted_recvs_.front();
-  qp->posted_recvs_.pop_front();
-
-  WireHeader ack{};
-  ack.src_qp = dst_qp;
-  ack.dst_qp = src_qp;
-  ack.wr_id = wr_id;
-  ack.len = static_cast<uint32_t>(data.size());
-
-  auto mr = regions_.find(recv.mr);
-  if (data.size() > recv.capacity || mr == regions_.end()) {
-    ack.type = kMsgNack;
-    ack.nacked_op = static_cast<uint8_t>(RdmaCompletion::OpType::kSend);
-    qp->cq_.Push(RdmaCompletion{RdmaCompletion::OpType::kRecv, recv.wr_id, 0,
-                                false});
-  } else {
-    std::memcpy(mr->second.data() + recv.offset, data.data(), data.size());
-    ++remote_ops_;
-    ack.type = kMsgSendAck;
-    qp->cq_.Push(RdmaCompletion{RdmaCompletion::OpType::kRecv, recv.wr_id,
-                                data.size(), true});
-  }
-  Buffer payload;
-  Encode(ack, &payload);
-  SendWire(src, std::move(payload));
-}
-
 void RdmaNic::OnPacket(Packet packet) {
   ByteReader reader(packet.payload.span());
   WireHeader h;
   if (!Decode(reader, &h)) return;
   ByteSpan data;
   if (!reader.ReadSpan(h.len, &data) &&
-      (h.type == kMsgWrite || h.type == kMsgSend ||
-       h.type == kMsgReadResp)) {
+      (h.type == kMsgWrite || h.type == kMsgReadResp)) {
     return;  // malformed
   }
 
@@ -285,17 +215,11 @@ void RdmaNic::OnPacket(Packet packet) {
       HandleRead(h.dst_qp, h.wr_id, h.rkey, h.roff, h.len, packet.src,
                  h.src_qp, h.loff, h.lkey);
       break;
-    case kMsgSend:
-      HandleSend(h.dst_qp, h.wr_id, data, packet.src, h.src_qp);
-      break;
-    case kMsgWriteAck:
-    case kMsgSendAck: {
+    case kMsgWriteAck: {
       auto it = qps_.find(h.dst_qp);
       if (it == qps_.end()) return;
-      it->second->cq_.Push(RdmaCompletion{
-          h.type == kMsgWriteAck ? RdmaCompletion::OpType::kWrite
-                                 : RdmaCompletion::OpType::kSend,
-          h.wr_id, h.len, true});
+      it->second->cq_.Push(RdmaCompletion{RdmaCompletion::OpType::kWrite,
+                                          h.wr_id, h.len, true});
       break;
     }
     case kMsgReadResp: {
@@ -303,7 +227,7 @@ void RdmaNic::OnPacket(Packet packet) {
       if (it == qps_.end()) return;
       auto mr = regions_.find(h.lkey);
       bool ok = mr != regions_.end() &&
-                h.loff + data.size() <= mr->second.size();
+                InBounds(mr->second.size(), h.loff, data.size());
       if (ok) {
         std::memcpy(mr->second.data() + h.loff, data.data(), data.size());
       }

@@ -1,8 +1,10 @@
 // RDMA verbs model: queue pairs, registered memory regions (real bytes),
 // one-sided READ/WRITE executed entirely by the remote NIC (no remote CPU
-// involvement — the property the paper's Section 6 builds on), two-sided
-// SEND/RECV, and completion queues. Transport is assumed lossless (RoCE
-// with PFC); loss injection applies to the TCP substrate only.
+// involvement — the property the paper's Section 6 builds on), and
+// completion queues. Transport is assumed lossless (RoCE with PFC):
+// nothing retransmits a lost RDMA frame, so the fabric's loss injection
+// (Network::SetLossRate, which drops frames of every kind) is for TCP
+// runs only.
 //
 // Host-side issue costs (queue-pair locks, memory fences, doorbell MMIO
 // stalls — the overheads Figure 7 attacks) are charged by the layer that
@@ -18,7 +20,6 @@
 #include <map>
 #include <memory>
 #include <utility>
-#include <vector>
 
 #include "common/buffer.h"
 #include "common/result.h"
@@ -31,7 +32,7 @@ using MrKey = uint32_t;
 
 /// One completed work request.
 struct RdmaCompletion {
-  enum class OpType : uint8_t { kSend, kRecv, kRead, kWrite };
+  enum class OpType : uint8_t { kRead, kWrite };
   OpType op;
   uint64_t wr_id = 0;
   size_t bytes = 0;
@@ -86,26 +87,12 @@ class QueuePair {
   Status PostWrite(uint64_t wr_id, MrKey local, size_t loff, MrKey remote_key,
                    size_t roff, size_t len);
 
-  /// Two-sided send; matched against the peer's posted receives in order.
-  Status PostSend(uint64_t wr_id, ByteSpan data);
-
-  /// Posts a receive buffer slot.
-  Status PostRecv(uint64_t wr_id, MrKey local, size_t loff, size_t capacity);
-
   CompletionQueue& cq() { return cq_; }
   uint32_t id() const { return id_; }
-  bool connected() const { return remote_qp_ != 0 || remote_qp_set_; }
 
  private:
   friend class RdmaNic;
   friend void ConnectQueuePairs(QueuePair* a, QueuePair* b);
-
-  struct PostedRecv {
-    uint64_t wr_id;
-    MrKey mr;
-    size_t offset;
-    size_t capacity;
-  };
 
   QueuePair(RdmaNic* nic, uint32_t id) : nic_(nic), id_(id) {}
 
@@ -115,18 +102,6 @@ class QueuePair {
   uint32_t remote_qp_ = 0;
   bool remote_qp_set_ = false;
   CompletionQueue cq_;
-  std::deque<PostedRecv> posted_recvs_;
-  struct UnmatchedSend {
-    uint64_t wr_id;
-    NodeId src;
-    uint32_t src_qp;
-    Buffer data;
-  };
-  std::deque<UnmatchedSend> unmatched_sends_;  // arrived before PostRecv
-  /// Recv postings race send arrivals by design: a send that beats its
-  /// recv parks in unmatched_sends_ and matches on the next PostRecv,
-  /// so both orders converge — commutative.
-  sim::RaceTag race_tag_;
 };
 
 /// Per-node RDMA-capable NIC with registered memory.
@@ -166,8 +141,6 @@ class RdmaNic {
   void HandleRead(uint32_t dst_qp, uint64_t wr_id, uint32_t rkey,
                   uint64_t roff, uint32_t len, NodeId src, uint32_t src_qp,
                   uint64_t dest_loff, uint32_t dest_lkey);
-  void HandleSend(uint32_t dst_qp, uint64_t wr_id, ByteSpan data, NodeId src,
-                  uint32_t src_qp);
 
   sim::Simulator* sim_;
   Network* network_;
@@ -177,9 +150,9 @@ class RdmaNic {
   std::map<uint32_t, std::unique_ptr<QueuePair>> qps_;
   uint32_t next_qp_id_ = 1;
   uint64_t remote_ops_ = 0;
-  /// Remote-op handlers (HandleWrite/HandleRead/HandleSend) fire from
-  /// independent wire deliveries; remote_ops_ accounting and per-QP
-  /// match-queue motion commute across same-timestamp arrivals.
+  /// Remote-op handlers (HandleWrite/HandleRead) fire from independent
+  /// wire deliveries; remote_ops_ accounting commutes across
+  /// same-timestamp arrivals.
   sim::RaceTag race_tag_;
 };
 

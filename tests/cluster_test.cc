@@ -267,9 +267,10 @@ TEST(PayloadStampTest, RoundTripAndVerify) {
   EXPECT_EQ(stamp->key, 7u);
   EXPECT_EQ(stamp->version, 42u);
   EXPECT_EQ(stamp->seed, 99u);
-  EXPECT_TRUE(VerifyStampedPayload(payload.span()));
+  EXPECT_EQ(MakeStampedPayload(payload.size(), *stamp), payload)
+      << "the parsed stamp must rebuild every body byte";
   payload[payload.size() - 1] ^= 0xff;
-  EXPECT_FALSE(VerifyStampedPayload(payload.span()))
+  EXPECT_FALSE(MakeStampedPayload(payload.size(), *stamp) == payload)
       << "a corrupted body byte must fail verification";
   Buffer zeros(8192);
   EXPECT_FALSE(ParsePayloadStamp(zeros.span()).has_value())

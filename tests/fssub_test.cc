@@ -554,7 +554,7 @@ TEST(PageCacheTest, ReplaceUpdatesBytes) {
   EXPECT_EQ((*page)[0], 2);
 }
 
-TEST(PageCacheTest, EraseAndEraseFile) {
+TEST(PageCacheTest, EraseDropsOnlyThatPage) {
   PageCache cache(1 << 20);
   cache.Put({1, 0}, PageOf(1));
   cache.Put({1, 1}, PageOf(2));
@@ -562,10 +562,8 @@ TEST(PageCacheTest, EraseAndEraseFile) {
   cache.Erase({1, 0});
   EXPECT_EQ(cache.Get({1, 0}), nullptr);
   EXPECT_NE(cache.Get({1, 1}), nullptr);
-  cache.EraseFile(1);
-  EXPECT_EQ(cache.Get({1, 1}), nullptr);
   EXPECT_NE(cache.Get({2, 0}), nullptr);
-  EXPECT_EQ(cache.page_count(), 1u);
+  EXPECT_EQ(cache.page_count(), 2u);
 }
 
 TEST(PageCacheTest, ZeroCapacityNeverStores) {
@@ -573,17 +571,6 @@ TEST(PageCacheTest, ZeroCapacityNeverStores) {
   cache.Put({1, 0}, PageOf(1));
   EXPECT_EQ(cache.Get({1, 0}), nullptr);
   EXPECT_EQ(cache.page_count(), 0u);
-}
-
-TEST(PageCacheTest, ResizeShrinksAndGrows) {
-  PageCache cache(8 * 4096);
-  for (uint64_t p = 0; p < 8; ++p) cache.Put({1, p}, PageOf(uint8_t(p)));
-  EXPECT_EQ(cache.page_count(), 8u);
-  cache.Resize(2 * 4096);
-  EXPECT_LE(cache.page_count(), 2u);
-  cache.Resize(8 * 4096);
-  for (uint64_t p = 10; p < 16; ++p) cache.Put({1, p}, PageOf(uint8_t(p)));
-  EXPECT_GT(cache.page_count(), 2u);
 }
 
 TEST(PageCacheTest, ResidentPagesSortedRegardlessOfEvictionHistory) {

@@ -128,7 +128,7 @@ TEST(IntegrationTest, CompressEncryptStoreFetchRoundTrip) {
   // own DPU), then write remotely.
   auto file = server.fs().Create("sealed");
   ASSERT_TRUE(file.ok());
-  se::RemoteStorageClient rsc(&client.network(), 1, 9000);
+  se::RemoteStorageClient rsc(&client.network(), 1, se::kStorageListenPort);
 
   bool stored = false;
   uint32_t sealed_size = 0;
@@ -190,7 +190,7 @@ TEST(IntegrationTest, RemoteStorageSurvivesPacketLoss) {
   ASSERT_TRUE(file.ok());
   ASSERT_TRUE(server.fs().Write(*file, 0, data.span()).ok());
 
-  se::RemoteStorageClient rsc(&client.network(), 1, 9000);
+  se::RemoteStorageClient rsc(&client.network(), 1, se::kStorageListenPort);
   int done = 0;
   constexpr int kReads = 50;
   for (int i = 0; i < kReads; ++i) {
@@ -234,7 +234,7 @@ TEST(IntegrationTest, SimulationIsDeterministic) {
     auto file = server.fs().Create("det");
     EXPECT_TRUE(file.ok());
     EXPECT_TRUE(server.fs().Write(*file, 0, data.span()).ok());
-    se::RemoteStorageClient rsc(&client.network(), 1, 9000);
+    se::RemoteStorageClient rsc(&client.network(), 1, se::kStorageListenPort);
     for (int i = 0; i < 20; ++i) {
       rsc.Read(*file, uint64_t(i) * 4096, 4096, [](Result<Buffer>) {});
     }

@@ -601,39 +601,15 @@ TEST(PredicateTest, SimpleComparisons) {
   auto reader = RowPageReader::Open(&schema, page.span());
   ASSERT_TRUE(reader.ok());
 
-  auto lt5 = Predicate::Compare(0, CompareOp::kLt, Value(int64_t(5)));
-  auto rows = FilterPage(*reader, *lt5);
+  Predicate lt5{0, CompareOp::kLt, Value(int64_t(5))};
+  auto rows = FilterPage(*reader, lt5);
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 5u);
 
-  auto name3 = Predicate::Compare(2, CompareOp::kEq,
-                                  Value(std::string("item3")));
-  rows = FilterPage(*reader, *name3);
+  Predicate name3{2, CompareOp::kEq, Value(std::string("item3"))};
+  rows = FilterPage(*reader, name3);
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(*rows, (std::vector<uint32_t>{3}));
-}
-
-TEST(PredicateTest, BooleanComposition) {
-  Schema schema = TestSchema();
-  Buffer page = BuildTestPage(100);
-  auto reader = RowPageReader::Open(&schema, page.span());
-  ASSERT_TRUE(reader.ok());
-
-  // 20 <= id < 30 OR id == 50
-  auto pred = Predicate::Or(
-      Predicate::And(
-          Predicate::Compare(0, CompareOp::kGe, Value(int64_t(20))),
-          Predicate::Compare(0, CompareOp::kLt, Value(int64_t(30)))),
-      Predicate::Compare(0, CompareOp::kEq, Value(int64_t(50))));
-  auto rows = FilterPage(*reader, *pred);
-  ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(rows->size(), 11u);
-
-  auto inverse = Predicate::Not(
-      Predicate::Compare(0, CompareOp::kLt, Value(int64_t(20))));
-  rows = FilterPage(*reader, *inverse);
-  ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(rows->size(), 80u);
 }
 
 TEST(PredicateTest, NumericCrossTypeComparison) {
@@ -642,8 +618,8 @@ TEST(PredicateTest, NumericCrossTypeComparison) {
   auto reader = RowPageReader::Open(&schema, page.span());
   ASSERT_TRUE(reader.ok());
   // Compare int64 column against a double literal.
-  auto pred = Predicate::Compare(0, CompareOp::kLt, Value(4.5));
-  auto rows = FilterPage(*reader, *pred);
+  Predicate pred{0, CompareOp::kLt, Value(4.5)};
+  auto rows = FilterPage(*reader, pred);
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 5u);
 }
@@ -653,8 +629,8 @@ TEST(PredicateTest, StringVsNumberFails) {
   Buffer page = BuildTestPage(3);
   auto reader = RowPageReader::Open(&schema, page.span());
   ASSERT_TRUE(reader.ok());
-  auto pred = Predicate::Compare(2, CompareOp::kEq, Value(int64_t(1)));
-  EXPECT_TRUE(FilterPage(*reader, *pred).status().IsInvalidArgument());
+  Predicate pred{2, CompareOp::kEq, Value(int64_t(1))};
+  EXPECT_TRUE(FilterPage(*reader, pred).status().IsInvalidArgument());
 }
 
 TEST(MaterializeTest, SelectedRowsRoundTrip) {
@@ -718,24 +694,6 @@ TEST(AggregateTest, ErrorsOnStringAndEmpty) {
   EXPECT_TRUE(AggregateColumn(*reader, 0, AggregateKind::kSum, &empty)
                   .status()
                   .IsInvalidArgument());
-}
-
-TEST(GroupByTest, SumPerGroup) {
-  Schema schema({{"k", ColumnType::kInt64}, {"v", ColumnType::kInt64}});
-  RowPageBuilder builder(schema);
-  for (int i = 0; i < 12; ++i) {
-    ASSERT_TRUE(
-        builder.AddRow({Value(int64_t(i % 3)), Value(int64_t(i))}).ok());
-  }
-  Buffer page = builder.Finish();
-  auto reader = RowPageReader::Open(&schema, page.span());
-  ASSERT_TRUE(reader.ok());
-  auto groups = GroupByAggregate(*reader, 0, 1, AggregateKind::kSum);
-  ASSERT_TRUE(groups.ok());
-  ASSERT_EQ(groups->size(), 3u);
-  EXPECT_EQ(std::get<int64_t>(groups->at(0)), 0 + 3 + 6 + 9);
-  EXPECT_EQ(std::get<int64_t>(groups->at(1)), 1 + 4 + 7 + 10);
-  EXPECT_EQ(std::get<int64_t>(groups->at(2)), 2 + 5 + 8 + 11);
 }
 
 // --------------------------------------------------------------------------

@@ -374,13 +374,10 @@ TEST(RdmaOffloadTest, FailedPostsFollowEachPathsConvention) {
     RdmaEnv env;
     netsub::QueuePair* unconnected = env.a->rdma_nic().CreateQueuePair();
     auto endpoint = env.a->CreateRdmaEndpoint(path, unconnected);
-    const std::vector<OpType> ops = {OpType::kRead, OpType::kWrite,
-                                     OpType::kSend, OpType::kRecv};
+    const std::vector<OpType> ops = {OpType::kRead, OpType::kWrite};
     std::vector<Status> posts;
     posts.push_back(endpoint->Read(0, kUnregistered, 0, env.remote, 0, 8));
     posts.push_back(endpoint->Write(1, kUnregistered, 0, env.remote, 0, 8));
-    posts.push_back(endpoint->Send(2, Buffer("lost").span()));
-    posts.push_back(endpoint->Recv(3, kUnregistered, 0, 64));
     env.sim.Run();
     std::vector<netsub::RdmaCompletion> completions;
     netsub::RdmaCompletion c;
@@ -403,74 +400,56 @@ TEST(RdmaOffloadTest, FailedPostsFollowEachPathsConvention) {
   }
 }
 
-// A SEND larger than the posted receive fails on both sides; the next
-// SEND still lands. The offloaded endpoints deliver every completion,
-// the failed ones included, through their host rings, so the QPs' own
-// queues are left empty.
-TEST(RdmaOffloadTest, OversizedSendFailsAloneOnBothPaths) {
-  using OpType = netsub::RdmaCompletion::OpType;
+// A WRITE the remote NIC rejects fails alone; the next WRITE still
+// lands. The offloaded endpoint delivers both completions, the failed
+// one included, through its host ring, so the QP's own queue is left
+// empty.
+TEST(RdmaOffloadTest, RemoteNackFailsAloneOnBothPaths) {
   for (RdmaPath path : {RdmaPath::kNative, RdmaPath::kDpuOffloaded}) {
     SCOPED_TRACE(path == RdmaPath::kNative ? "native" : "offloaded");
     RdmaEnv env;
-    auto ep_a = env.a->CreateRdmaEndpoint(path, env.qp_a);
-    auto ep_b = env.b->CreateRdmaEndpoint(path, env.qp_b);
-    ASSERT_TRUE(ep_b->Recv(1, env.remote, 0, 1024).ok());
-    ASSERT_TRUE(ep_b->Recv(2, env.remote, 1024, 1024).ok());
-    env.sim.Run();  // both receives are posted before a SEND arrives
-    Buffer big = kern::GenerateRandomBytes(4096, 9);
-    ASSERT_TRUE(ep_a->Send(10, big.span()).ok());
-    ASSERT_TRUE(ep_a->Send(11, Buffer("fits").span()).ok());
+    auto endpoint = env.a->CreateRdmaEndpoint(path, env.qp_a);
+    auto lmem = env.a->rdma_nic().Memory(env.local);
+    std::memcpy(lmem->data(), "fits", 4);
+    // The remote region is 1 MB, so the first WRITE runs past its end.
+    ASSERT_TRUE(
+        endpoint->Write(10, env.local, 0, env.remote, (1 << 20) - 2, 4).ok());
+    ASSERT_TRUE(endpoint->Write(11, env.local, 0, env.remote, 1024, 4).ok());
     env.sim.Run();
 
     size_t device_queued = path == RdmaPath::kNative ? 2 : 0;
     EXPECT_EQ(env.qp_a->cq().pending(), device_queued);
-    EXPECT_EQ(env.qp_b->cq().pending(), device_queued);
-    std::vector<netsub::RdmaCompletion> sends, recvs;
+    std::vector<netsub::RdmaCompletion> writes;
     netsub::RdmaCompletion c;
-    while (ep_a->PollCompletion(&c)) sends.push_back(c);
-    while (ep_b->PollCompletion(&c)) recvs.push_back(c);
-    ASSERT_EQ(sends.size(), 2u);
-    ASSERT_EQ(recvs.size(), 2u);
-    EXPECT_EQ(sends[0].op, OpType::kSend);
-    EXPECT_EQ(sends[0].wr_id, 10u);
-    EXPECT_FALSE(sends[0].ok);
-    EXPECT_EQ(sends[1].wr_id, 11u);
-    EXPECT_TRUE(sends[1].ok);
-    EXPECT_EQ(recvs[0].op, OpType::kRecv);
-    EXPECT_EQ(recvs[0].wr_id, 1u);
-    EXPECT_FALSE(recvs[0].ok);
-    EXPECT_EQ(recvs[1].wr_id, 2u);
-    EXPECT_TRUE(recvs[1].ok);
+    while (endpoint->PollCompletion(&c)) writes.push_back(c);
+    ASSERT_EQ(writes.size(), 2u);
+    EXPECT_EQ(writes[0].op, netsub::RdmaCompletion::OpType::kWrite);
+    EXPECT_EQ(writes[0].wr_id, 10u);
+    EXPECT_FALSE(writes[0].ok);
+    EXPECT_EQ(writes[1].wr_id, 11u);
+    EXPECT_TRUE(writes[1].ok);
     auto rmem = env.b->rdma_nic().Memory(env.remote);
     EXPECT_EQ(std::memcmp(rmem->data() + 1024, "fits", 4), 0);
   }
 }
 
-TEST(RdmaOffloadTest, OffloadedReadAndSendRecv) {
+TEST(RdmaOffloadTest, OffloadedReadFetchesBytes) {
   RdmaEnv env;
-  auto ep_a =
+  auto endpoint =
       env.a->CreateRdmaEndpoint(RdmaPath::kDpuOffloaded, env.qp_a);
-  auto ep_b =
-      env.b->CreateRdmaEndpoint(RdmaPath::kDpuOffloaded, env.qp_b);
-
   auto rmem = env.b->rdma_nic().Memory(env.remote);
   std::memcpy(rmem->data() + 64, "read-me!", 8);
-  ASSERT_TRUE(ep_a->Read(1, env.local, 0, env.remote, 64, 8).ok());
-
-  ASSERT_TRUE(ep_b->Recv(2, env.remote, 1024, 256).ok());
-  ASSERT_TRUE(ep_a->Send(3, Buffer("two-sided").span()).ok());
+  ASSERT_TRUE(endpoint->Read(1, env.local, 0, env.remote, 64, 8).ok());
   env.sim.Run();
 
   auto lmem = env.a->rdma_nic().Memory(env.local);
   EXPECT_EQ(std::memcmp(lmem->data(), "read-me!", 8), 0);
-  EXPECT_EQ(std::memcmp(rmem->data() + 1024, "two-sided", 9), 0);
-
-  int a_completions = 0, b_completions = 0;
   netsub::RdmaCompletion c;
-  while (ep_a->PollCompletion(&c)) ++a_completions;
-  while (ep_b->PollCompletion(&c)) ++b_completions;
-  EXPECT_EQ(a_completions, 2);  // read + send
-  EXPECT_EQ(b_completions, 1);  // recv
+  ASSERT_TRUE(endpoint->PollCompletion(&c));
+  EXPECT_EQ(c.op, netsub::RdmaCompletion::OpType::kRead);
+  EXPECT_EQ(c.wr_id, 1u);
+  EXPECT_TRUE(c.ok);
+  EXPECT_FALSE(endpoint->PollCompletion(&c));
 }
 
 }  // namespace

@@ -262,10 +262,5 @@ TEST(UtilizationProbeTest, MeasuresWindowedBusyTime) {
   EXPECT_EQ(probe.dpu_cores(), 0.0);
 }
 
-TEST(FmtTest, FormatsFixedDecimals) {
-  EXPECT_EQ(Fmt(3.14159, 2), "3.14");
-  EXPECT_EQ(Fmt(2.0, 0), "2");
-}
-
 }  // namespace
 }  // namespace dpdpu::rt

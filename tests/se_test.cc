@@ -290,7 +290,7 @@ TEST(RemoteStorageTest, ReadRoundTrip) {
   Buffer data = kern::GenerateText(100000, {});
   fssub::FileId file = f.Prepare(data.span());
 
-  RemoteStorageClient rsc(&f.client->network(), 1, 9000);
+  RemoteStorageClient rsc(&f.client->network(), 1, kStorageListenPort);
   Buffer got;
   int errors = 0;
   rsc.Read(file, 0, uint32_t(data.size()), [&](Result<Buffer> d) {
@@ -310,7 +310,7 @@ TEST(RemoteStorageTest, ReadRoundTrip) {
 TEST(RemoteStorageTest, WriteThenReadBack) {
   RemoteFixture f;
   fssub::FileId file = f.Prepare(Buffer("seed").span());
-  RemoteStorageClient rsc(&f.client->network(), 1, 9000);
+  RemoteStorageClient rsc(&f.client->network(), 1, kStorageListenPort);
 
   Buffer payload = kern::GenerateRandomBytes(32 * 1024, 9);
   bool wrote = false;
@@ -334,7 +334,7 @@ TEST(RemoteStorageTest, ManyConcurrentRequestsAllComplete) {
   RemoteFixture f;
   Buffer data = kern::GenerateRandomBytes(1 << 20, 4);
   fssub::FileId file = f.Prepare(data.span());
-  RemoteStorageClient rsc(&f.client->network(), 1, 9000);
+  RemoteStorageClient rsc(&f.client->network(), 1, kStorageListenPort);
 
   constexpr int kRequests = 100;
   int done = 0;
@@ -355,7 +355,7 @@ TEST(RemoteStorageTest, FlaggedRequestsRouteToHost) {
   RemoteFixture f;
   Buffer data = kern::GenerateRandomBytes(8192, 2);
   fssub::FileId file = f.Prepare(data.span());
-  RemoteStorageClient rsc(&f.client->network(), 1, 9000);
+  RemoteStorageClient rsc(&f.client->network(), 1, kStorageListenPort);
 
   Buffer got;
   rsc.Read(file, 0, 8192,
@@ -372,7 +372,7 @@ TEST(RemoteStorageTest, OffloadKeepsHostIdle) {
   RemoteFixture f;
   Buffer data = kern::GenerateRandomBytes(1 << 20, 4);
   fssub::FileId file = f.Prepare(data.span());
-  RemoteStorageClient rsc(&f.client->network(), 1, 9000);
+  RemoteStorageClient rsc(&f.client->network(), 1, kStorageListenPort);
 
   rt::UtilizationProbe probe(&f.server->server());
   probe.Start();
@@ -401,7 +401,7 @@ TEST(RemoteStorageTest, CustomHostHandlerReceivesForwards) {
         ++host_handled;
         reply(Buffer("from-host"));
       });
-  RemoteStorageClient rsc(&f.client->network(), 1, 9000);
+  RemoteStorageClient rsc(&f.client->network(), 1, kStorageListenPort);
   Buffer got;
   rsc.Read(file, 0, 1, [&](Result<Buffer> d) { got = std::move(d).value(); },
            kRequestFlagRequiresHost);
@@ -415,7 +415,7 @@ TEST(RemoteStorageTest, HostHandlerReplyCrossesPcieBack) {
   fssub::FileId file = f.Prepare(Buffer("x").span());
   f.server->storage().SetHostHandler(
       [](RemoteRequest, ReplyFn reply) { reply(Buffer("from-host")); });
-  RemoteStorageClient rsc(&f.client->network(), 1, 9000);
+  RemoteStorageClient rsc(&f.client->network(), 1, kStorageListenPort);
   hw::PcieLink& pcie = f.server->server().pcie();
   uint64_t transfers = pcie.transfers();
   uint64_t bytes = pcie.bytes_moved();
@@ -434,7 +434,7 @@ TEST(RemoteStorageTest, HostHandlerReplyCrossesPcieBack) {
 TEST(RemoteStorageTest, RequiresHostWriteMovesItsPayloadOverPcie) {
   RemoteFixture f;
   fssub::FileId file = f.Prepare(Buffer("seed").span());
-  RemoteStorageClient rsc(&f.client->network(), 1, 9000);
+  RemoteStorageClient rsc(&f.client->network(), 1, kStorageListenPort);
   hw::PcieLink& pcie = f.server->server().pcie();
   uint64_t bytes = pcie.bytes_moved();
   bool wrote = false;
@@ -460,7 +460,7 @@ TEST(RemoteStorageTest, UdfRewritingTheTagStillAnswersTheClient) {
         out.length = in.length;
         return out;
       });
-  RemoteStorageClient rsc(&f.client->network(), 1, 9000);
+  RemoteStorageClient rsc(&f.client->network(), 1, kStorageListenPort);
   bool served = false;
   rsc.Read(file, 0, 4096, [&](Result<Buffer> d) {
     ASSERT_TRUE(d.ok());
@@ -477,7 +477,7 @@ TEST(RemoteStorageTest, UdfRewritingTheTagStillAnswersTheClient) {
 TEST(RemoteStorageTest, VersionStampsOnTheWire) {
   RemoteFixture f;
   fssub::FileId file = f.Prepare(Buffer(size_t{8192}).span());
-  ne::NeSocket* socket = f.client->network().Connect(1, 9000);
+  ne::NeSocket* socket = f.client->network().Connect(1, kStorageListenPort);
   std::vector<RemoteResponse> responses;
   ne::FlowReader reader(socket, [&](ByteSpan message) {
     Result<RemoteResponse> resp = ParseRemoteResponse(message);
@@ -527,7 +527,7 @@ TEST(RemoteStorageTest, ClientMayDestroyItselfInItsCallback) {
   Buffer data = kern::GenerateRandomBytes(16384, 3);
   fssub::FileId file = f.Prepare(data.span());
   auto rsc = std::make_unique<RemoteStorageClient>(&f.client->network(), 1,
-                                                   9000);
+                                                   kStorageListenPort);
   int first = 0, second = 0;
   // The 4 KB read finishes first; its callback destroys the client while
   // the 8 KB read is still in flight. That response then reaches a
@@ -557,7 +557,7 @@ TEST(RemoteStorageTest, UdfTranslatesRequests) {
         out.offset = 8192;
         return out;
       });
-  RemoteStorageClient rsc(&f.client->network(), 1, 9000);
+  RemoteStorageClient rsc(&f.client->network(), 1, kStorageListenPort);
   Buffer got;
   rsc.Read(file, 0, 4096, [&](Result<Buffer> d) {
     got = std::move(d).value();
@@ -620,7 +620,7 @@ TEST(RemoteStorageTest, PartialOffloadSplitMatchesDirectorCounters) {
   RemoteFixture f;
   Buffer data = kern::GenerateRandomBytes(256 * 1024, 11);
   fssub::FileId file = f.Prepare(data.span());
-  RemoteStorageClient rsc(&f.client->network(), 1, 9000);
+  RemoteStorageClient rsc(&f.client->network(), 1, kStorageListenPort);
 
   // 70/30 offloadable/host split, deterministic pattern.
   constexpr int kRequests = 100;
@@ -661,7 +661,7 @@ TEST(RemoteStorageTest, UdfFailureProducesErrorResponse) {
         }
         return in;
       });
-  RemoteStorageClient rsc(&f.client->network(), 1, 9000);
+  RemoteStorageClient rsc(&f.client->network(), 1, kStorageListenPort);
 
   bool rejected = false, served = false;
   rsc.Read(file, 0, 4096, [&](Result<Buffer> d) {
@@ -684,7 +684,7 @@ TEST(RemoteStorageTest, OffloadEnginePersistModeAppliesToRemoteWrites) {
   fssub::FileId file = f.Prepare(Buffer("seed").span());
   f.server->storage().offload_engine().SetPersistMode(
       PersistMode::kDpuLogAck);
-  RemoteStorageClient rsc(&f.client->network(), 1, 9000);
+  RemoteStorageClient rsc(&f.client->network(), 1, kStorageListenPort);
 
   Buffer payload = kern::GenerateRandomBytes(8192, 21);
   bool wrote = false;
@@ -708,7 +708,7 @@ TEST(RemoteStorageTest, OffloadEnginePersistModeAppliesToRemoteWrites) {
 TEST(RemoteStorageTest, ReadBeyondFileFailsCleanly) {
   RemoteFixture f;
   fssub::FileId file = f.Prepare(Buffer("tiny").span());
-  RemoteStorageClient rsc(&f.client->network(), 1, 9000);
+  RemoteStorageClient rsc(&f.client->network(), 1, kStorageListenPort);
   bool got_short = false;
   // Reads past EOF return the short prefix (empty here).
   rsc.Read(file, 100, 50, [&](Result<Buffer> d) {
