@@ -67,7 +67,7 @@ int main() {
   rt::EmitJsonMetric("fig1_compression", "asic_gain_max", max_gain, "x");
   crc.Emit("fig1_compression");
   std::printf("\nshape check: EPYC < Arm per size; ASIC beats EPYC by "
-              "%.0f-%.0fx (paper: \"an order of magnitude\")\n",
+              "%.1f-%.1fx (paper: \"an order of magnitude\")\n",
               min_gain, max_gain);
   rt::EmitWallClockMetrics("fig1_compression", wall_timer,
                            sim::Simulator::TotalEventsExecuted());

@@ -12,6 +12,7 @@
 #include <string_view>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "hw/calibration.h"
 #include "kern/chacha20.h"
@@ -176,6 +177,9 @@ struct CompressMemo {
                      CompressMemoKeyHash>
       index;  // keys view the entries' own input bytes
   size_t bytes = 0;
+  // Keys that a caller is compressing; each views that caller's input.
+  std::unordered_set<CompressMemoKey, CompressMemoKeyHash> in_flight;
+  std::condition_variable landed;  // a key left in_flight
 };
 
 CompressMemo& TheCompressMemo() {
@@ -189,16 +193,45 @@ CompressMemoKey MakeCompressMemoKey(int level, ByteSpan input) {
   return {std::hash<std::string_view>{}(bytes), level, bytes};
 }
 
-// The stored output for `key`, marked most recently used.
+// The stored output for `key`, marked most recently used, once no other
+// caller is compressing the same input. On a miss it marks `key` in
+// flight and returns null: this caller compresses the input, and an
+// InFlightMark clears the mark.
 SharedBuffer LookupCompressMemo(const CompressMemoKey& key) {
   CompressMemo& memo = TheCompressMemo();
-  std::lock_guard<std::mutex> lock(memo.mu);
+  std::unique_lock<std::mutex> lock(memo.mu);
+  while (memo.in_flight.contains(key)) memo.landed.wait(lock);
   auto it = memo.index.find(key);
-  if (it == memo.index.end()) return nullptr;
+  if (it == memo.index.end()) {
+    memo.in_flight.insert(key);
+    return nullptr;
+  }
   memo.lru.splice(memo.lru.begin(), memo.lru, it->second);
   return it->second->output;
 }
 
+// Clears the in-flight mark of `key` and wakes its waiters, whether the
+// compress was stored, failed or threw. A waiter that then misses, as
+// the output was evicted or never stored, compresses the input itself.
+class InFlightMark {
+ public:
+  explicit InFlightMark(const CompressMemoKey& key) : key_(key) {}
+  InFlightMark(const InFlightMark&) = delete;
+  InFlightMark& operator=(const InFlightMark&) = delete;
+  ~InFlightMark() {
+    CompressMemo& memo = TheCompressMemo();
+    {
+      std::lock_guard<std::mutex> lock(memo.mu);
+      memo.in_flight.erase(key_);
+    }
+    memo.landed.notify_all();
+  }
+
+ private:
+  const CompressMemoKey& key_;  // CompressMemoized's, which outlives it
+};
+
+// The caller holds the in-flight mark of `key`, so the key is not stored.
 void StoreCompressMemo(const CompressMemoKey& key, SharedBuffer input,
                        SharedBuffer output) {
   // Evicted entries are freed after the lock is released.
@@ -206,7 +239,6 @@ void StoreCompressMemo(const CompressMemoKey& key, SharedBuffer input,
   evicted.push_back({key.hash, key.level, std::move(input), std::move(output)});
   CompressMemo& memo = TheCompressMemo();
   std::lock_guard<std::mutex> lock(memo.mu);
-  if (memo.index.contains(key)) return;  // stored since our lookup missed
   const CompressMemoEntry& entry = evicted.front();
   memo.bytes += entry.input->size() + entry.output->size();
   memo.lru.splice(memo.lru.begin(), evicted);
@@ -220,14 +252,16 @@ void StoreCompressMemo(const CompressMemoKey& key, SharedBuffer input,
 }
 
 // The memo's output for `input` at `level`, or DEFLATE's, then stored.
-// `owned`, when set, holds `input`'s bytes for the memo to share. The
-// memo keeps an exact-size copy of DEFLATE's output, whose buffer grew
-// by doubling; the caller copies the output it returns, so a helper
-// thread's allocations outlive it only in the memo.
+// Callers that pass equal inputs at once run DEFLATE once: the others
+// wait for its output. `owned`, when set, holds `input`'s bytes for the
+// memo to share. The memo keeps an exact-size copy of DEFLATE's output,
+// whose buffer grew by doubling; the caller copies the output it
+// returns, so a helper thread's allocations outlive it only in the memo.
 Result<SharedBuffer> CompressMemoized(int level, ByteSpan input,
                                       SharedBuffer owned) {
   CompressMemoKey key = MakeCompressMemoKey(level, input);
   if (SharedBuffer hit = LookupCompressMemo(key)) return hit;
+  InFlightMark mark(key);
   kern::DeflateOptions options;
   options.level = level;
   DPDPU_ASSIGN_OR_RETURN(Buffer output, kern::DeflateCompress(input, options));

@@ -12,6 +12,17 @@
 
 namespace dpdpu::kern {
 
+/// The low `length` bits of `code` in reverse order. DEFLATE transmits
+/// Huffman codes MSB-first, so a canonical code value is reversed before
+/// an LSB-first write.
+inline uint32_t ReverseBits(uint32_t code, int length) {
+  uint32_t reversed = 0;
+  for (int i = 0; i < length; ++i) {
+    reversed = (reversed << 1) | ((code >> i) & 1u);
+  }
+  return reversed;
+}
+
 /// Accumulates bits LSB-first into a Buffer.
 class BitWriter {
  public:
@@ -30,14 +41,9 @@ class BitWriter {
     }
   }
 
-  /// Writes a Huffman code: DEFLATE transmits codes MSB-first, so the
-  /// canonical code value is bit-reversed before the LSB-first write.
+  /// Writes a canonical Huffman code, bit-reversed (see ReverseBits).
   void WriteHuffmanCode(uint32_t code, int length) {
-    uint32_t reversed = 0;
-    for (int i = 0; i < length; ++i) {
-      reversed = (reversed << 1) | ((code >> i) & 1u);
-    }
-    WriteBits(reversed, length);
+    WriteBits(ReverseBits(code, length), length);
   }
 
   /// Pads with zero bits to the next byte boundary. (Not AlignToByte:

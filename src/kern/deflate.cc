@@ -47,12 +47,10 @@ constexpr auto kDistCode = MakeDistCodes();
 }  // namespace
 
 int LengthToSymbol(int length) {
-  DPDPU_CHECK(length >= kMinMatch && length <= kMaxMatch);
   return 257 + kLengthCode[length - kMinMatch];
 }
 
 int DistanceToSymbol(int distance) {
-  DPDPU_CHECK(distance >= 1 && distance <= kWindowSize);
   int d = distance - 1;
   return kDistCode[d < 256 ? d : 256 + (d >> 7)];
 }
@@ -112,6 +110,10 @@ MatchParams ParamsForLevel(int level) {
 //    3-byte chain replaces the 3-byte walk's step budget: a candidate is
 //    in budget while fewer than max_chain positions of its 3-byte chain
 //    are newer than it.
+//  - A candidate replaces the best only if it is longer, so once the best
+//    length reaches 7, only candidates sharing pos's first 8 bytes can.
+//    The search then goes on along a third chain, keyed on an 8-byte
+//    hash, below the candidates the 4-byte walk has already examined.
 //  - Chain links and ranks live in rings indexed by position & mask_,
 //    window-sized or, for a shorter input, just large enough to hold it.
 //    Position p's slot is overwritten only by p plus a multiple of the
@@ -126,10 +128,13 @@ class MatchFinder {
             std::clamp<size_t>(in.size(), 256, kWindowSize))),
         mask_(ring_size_ - 1),
         hash4_shift_(32 - std::countr_zero(ring_size_)),
+        hash8_shift_(64 - std::countr_zero(ring_size_)),
         head3_(kHash3Size, -1),
         head4_(ring_size_, -1),
+        head8_(ring_size_, -1),
         prev3_(ring_size_),
         prev4_(ring_size_),
+        prev8_(ring_size_),
         rank_(ring_size_) {
     DPDPU_CHECK(in.size() < size_t(INT32_MAX));
   }
@@ -140,40 +145,43 @@ class MatchFinder {
   };
 
   /// Longest match at `pos` against strictly earlier inserted positions.
-  Match Find(size_t pos) const {
+  /// With `beat` > 0, only a match longer than `beat` is looked for: the
+  /// result is Find(pos) if that is longer, and no match otherwise.
+  Match Find(size_t pos, int beat = 0) const {
     if (pos + kMinMatch > in_.size()) return Match{};
     const int32_t limit = pos > kWindowSize ? int32_t(pos - kWindowSize) : 0;
     const int32_t head = head3_[Hash3(pos)];
     if (head < limit) return Match{};
     const int max_len =
         static_cast<int>(std::min<size_t>(kMaxMatch, in_.size() - pos));
-    Match best;
-    if (max_len > kMinMatch) {
+    Match best{beat, 0};
+    if (max_len > std::max(beat, kMinMatch)) {
       const uint16_t head_rank = rank_[head & mask_];
-      const uint32_t first4 = Load32(pos);
-      for (int32_t cand = head4_[Hash4(pos)]; cand >= limit;
-           cand = prev4_[cand & mask_]) {
-        if (Load32(size_t(cand)) != first4) continue;
-        // cand is on pos's 3-byte chain, like every older entry that
-        // passes the test above, so once one is out of budget all are.
-        if (uint16_t(head_rank - rank_[cand & mask_]) >= params_.max_chain) {
-          break;
-        }
-        // Quick reject: to beat best, cand must also match the 4 bytes
-        // that end at offset best.len (best.len is 0 or at least 4).
-        if (best.len > 0 && Load32(size_t(cand) + best.len - 3) !=
-                                Load32(pos + best.len - 3)) {
-          continue;
-        }
-        int len = MatchLength(size_t(cand), pos, max_len);
-        if (len > best.len) {
-          best.len = len;
-          best.dist = static_cast<int>(pos) - cand;
-          if (len >= params_.nice_length || len == max_len) break;
+      bool done = false;
+      if (best.len < 7) {
+        const uint32_t first4 = Load32(pos);
+        for (int32_t cand = head4_[Hash4(pos)]; cand >= limit;
+             cand = prev4_[cand & mask_]) {
+          if (Load32(size_t(cand)) != first4) continue;
+          done = Consider(cand, pos, max_len, head_rank, best);
+          if (done || best.len >= 7) break;
         }
       }
-      if (best.len > kMinMatch) return best;
+      // Go on along the 8-byte chain (max_len > best.len, so pos has 8
+      // bytes), skipping the entries from pos - best.dist up: the 4-byte
+      // walk examined every candidate there.
+      if (!done && best.len >= 7) {
+        const uint64_t first8 = Load64(pos);
+        const int32_t examined = static_cast<int32_t>(pos) - best.dist;
+        for (int32_t cand = head8_[Hash8(pos)]; cand >= limit;
+             cand = prev8_[cand & mask_]) {
+          if (cand >= examined || Load64(size_t(cand)) != first8) continue;
+          if (Consider(cand, pos, max_len, head_rank, best)) break;
+        }
+      }
+      if (best.dist > 0) return best;
     }
+    if (beat > 0) return Match{};
     // No candidate is longer than 3: take the newest in-budget one whose
     // first 3 bytes match (the 3-byte chain also holds hash collisions).
     const uint32_t first3 = Load24(pos);
@@ -204,6 +212,11 @@ class MatchFinder {
         prev4_[slot] = head4_[h4];
         head4_[h4] = static_cast<int32_t>(inserted_);
       }
+      if (inserted_ + 8 <= in_.size()) {
+        const uint32_t h8 = Hash8(inserted_);
+        prev8_[slot] = head8_[h8];
+        head8_[h8] = static_cast<int32_t>(inserted_);
+      }
     }
   }
 
@@ -221,12 +234,43 @@ class MatchFinder {
     return v;
   }
 
+  uint64_t Load64(size_t pos) const {
+    uint64_t v;
+    std::memcpy(&v, in_.data() + pos, 8);
+    return v;
+  }
+
   uint32_t Hash3(size_t pos) const {
     return (Load24(pos) * 2654435761u) >> 17;
   }
 
   uint32_t Hash4(size_t pos) const {
     return (Load32(pos) * 2654435761u) >> hash4_shift_;
+  }
+
+  uint32_t Hash8(size_t pos) const {
+    return uint32_t((Load64(pos) * 0x9E3779B97F4A7C15ull) >> hash8_shift_);
+  }
+
+  // Weighs cand, an entry of pos's 3-byte chain that shares pos's first 4
+  // bytes, against `best`. Returns true when the search is over: cand is
+  // out of budget (ranks fall along the 3-byte chain, so every older
+  // candidate is too), or the new best reaches nice_length or max_len.
+  bool Consider(int32_t cand, size_t pos, int max_len, uint16_t head_rank,
+                Match& best) const {
+    if (uint16_t(head_rank - rank_[cand & mask_]) >= params_.max_chain) {
+      return true;
+    }
+    // Quick reject: to beat best, cand must also match the 4 bytes that
+    // end at offset best.len (best.len is 0 or at least 3).
+    if (best.len > 0 && Load32(size_t(cand) + best.len - 3) !=
+                            Load32(pos + best.len - 3)) {
+      return false;
+    }
+    const int len = MatchLength(size_t(cand), pos, max_len);
+    if (len <= best.len) return false;
+    best = {len, static_cast<int>(pos) - cand};
+    return len >= params_.nice_length || len == max_len;
   }
 
   // Word-wise match extension: compare 8 bytes per step, locate the first
@@ -258,10 +302,13 @@ class MatchFinder {
   size_t ring_size_;
   size_t mask_;
   int hash4_shift_;
+  int hash8_shift_;
   std::vector<int32_t> head3_;  // newest position per 3-byte hash
   std::vector<int32_t> head4_;  // newest position per 4-byte hash
+  std::vector<int32_t> head8_;  // newest position per 8-byte hash
   std::vector<int32_t> prev3_;  // ring: next older entry, 3-byte chain
   std::vector<int32_t> prev4_;  // ring: next older entry, 4-byte chain
+  std::vector<int32_t> prev8_;  // ring: next older entry, 8-byte chain
   std::vector<uint16_t> rank_;  // ring: rank on the 3-byte chain, mod 2^16
   size_t inserted_ = 0;
 };
@@ -284,8 +331,9 @@ void Tokenize(ByteSpan in, MatchParams params, Emit&& emit) {
     if (m.len >= kMinMatch && params.lazy && m.len < params.nice_length &&
         pos + 1 < in.size()) {
       // Lazy evaluation: prefer a longer match starting one byte later.
+      // Only a longer one is used, and Find returns exactly that.
       finder.InsertUpTo(pos + 1);
-      MatchFinder::Match next = finder.Find(pos + 1);
+      MatchFinder::Match next = finder.Find(pos + 1, m.len);
       if (next.len > m.len) {
         emit(pos, Token{uint16_t(in[pos]), 0});
         ++pos;
@@ -308,12 +356,22 @@ void Tokenize(ByteSpan in, MatchParams params, Emit&& emit) {
 // Block encoding.
 // ---------------------------------------------------------------------------
 
+// A block's code lengths and its codes, bit-reversed once for BitWriter's
+// LSB-first writes.
 struct BlockCodes {
   std::vector<uint8_t> litlen_lengths;
   std::vector<uint32_t> litlen_codes;
   std::vector<uint8_t> dist_lengths;
   std::vector<uint32_t> dist_codes;
 };
+
+std::vector<uint32_t> ReversedCodes(const std::vector<uint8_t>& lengths) {
+  std::vector<uint32_t> codes = CanonicalCodes(lengths);
+  for (size_t s = 0; s < codes.size(); ++s) {
+    codes[s] = ReverseBits(codes[s], lengths[s]);
+  }
+  return codes;
+}
 
 // RLE'd code-length sequence entry: symbol 0-18 plus its repeat payload.
 struct ClenEntry {
@@ -362,22 +420,11 @@ int ClenExtraBits(uint8_t symbol) {
   return 0;
 }
 
-// Payload size in bits of the token stream under the given code lengths.
-uint64_t PayloadBits(std::span<const Token> tokens,
-                     const std::vector<uint8_t>& litlen_lengths,
-                     const std::vector<uint8_t>& dist_lengths) {
+// Bits that symbols of these frequencies take under these code lengths.
+uint64_t CodeBits(const std::vector<uint64_t>& freq,
+                  const std::vector<uint8_t>& lengths) {
   uint64_t bits = 0;
-  for (const Token& t : tokens) {
-    if (t.dist == 0) {
-      bits += litlen_lengths[t.len];
-    } else {
-      int lsym = LengthToSymbol(t.len);
-      int dsym = DistanceToSymbol(t.dist);
-      bits += litlen_lengths[lsym] + kLengthExtra[lsym - 257];
-      bits += dist_lengths[dsym] + kDistExtra[dsym];
-    }
-  }
-  bits += litlen_lengths[kEndOfBlock];
+  for (size_t s = 0; s < freq.size(); ++s) bits += freq[s] * lengths[s];
   return bits;
 }
 
@@ -385,20 +432,23 @@ void WriteTokens(BitWriter& bw, std::span<const Token> tokens,
                  const BlockCodes& codes) {
   for (const Token& t : tokens) {
     if (t.dist == 0) {
-      bw.WriteHuffmanCode(codes.litlen_codes[t.len],
-                          codes.litlen_lengths[t.len]);
+      bw.WriteBits(codes.litlen_codes[t.len], codes.litlen_lengths[t.len]);
     } else {
-      int lsym = LengthToSymbol(t.len);
-      bw.WriteHuffmanCode(codes.litlen_codes[lsym],
-                          codes.litlen_lengths[lsym]);
-      bw.WriteBits(t.len - kLengthBase[lsym - 257], kLengthExtra[lsym - 257]);
-      int dsym = DistanceToSymbol(t.dist);
-      bw.WriteHuffmanCode(codes.dist_codes[dsym], codes.dist_lengths[dsym]);
-      bw.WriteBits(t.dist - kDistBase[dsym], kDistExtra[dsym]);
+      // Each code and its extra bits in one write: at most 15 + 13 bits.
+      const int lsym = LengthToSymbol(t.len);
+      const int lbits = codes.litlen_lengths[lsym];
+      bw.WriteBits(codes.litlen_codes[lsym] |
+                       uint32_t(t.len - kLengthBase[lsym - 257]) << lbits,
+                   lbits + kLengthExtra[lsym - 257]);
+      const int dsym = DistanceToSymbol(t.dist);
+      const int dbits = codes.dist_lengths[dsym];
+      bw.WriteBits(codes.dist_codes[dsym] |
+                       uint32_t(t.dist - kDistBase[dsym]) << dbits,
+                   dbits + kDistExtra[dsym]);
     }
   }
-  bw.WriteHuffmanCode(codes.litlen_codes[kEndOfBlock],
-                      codes.litlen_lengths[kEndOfBlock]);
+  bw.WriteBits(codes.litlen_codes[kEndOfBlock],
+               codes.litlen_lengths[kEndOfBlock]);
 }
 
 BlockCodes FixedCodes() {
@@ -407,9 +457,9 @@ BlockCodes FixedCodes() {
   for (int s = 0; s < kNumLitLenSymbols; ++s) {
     codes.litlen_lengths[s] = FixedLitLenLength(s);
   }
-  codes.litlen_codes = CanonicalCodes(codes.litlen_lengths);
+  codes.litlen_codes = ReversedCodes(codes.litlen_lengths);
   codes.dist_lengths.assign(kNumDistSymbols, 5);
-  codes.dist_codes = CanonicalCodes(codes.dist_lengths);
+  codes.dist_codes = ReversedCodes(codes.dist_lengths);
   return codes;
 }
 
@@ -433,15 +483,20 @@ void WriteStored(BitWriter& bw, ByteSpan data, bool final) {
 // Encodes one block of tokens covering input bytes [range_begin, range_end).
 void EncodeBlock(BitWriter& bw, std::span<const Token> tokens,
                  ByteSpan block_input, bool final) {
-  // Symbol frequencies.
+  // Symbol frequencies, and the length and distance extra bits, which are
+  // the same under every code.
   std::vector<uint64_t> litlen_freq(kNumLitLenSymbols, 0);
   std::vector<uint64_t> dist_freq(kNumDistSymbols, 0);
+  uint64_t extra_bits = 0;
   for (const Token& t : tokens) {
     if (t.dist == 0) {
       ++litlen_freq[t.len];
     } else {
-      ++litlen_freq[LengthToSymbol(t.len)];
-      ++dist_freq[DistanceToSymbol(t.dist)];
+      const int lsym = LengthToSymbol(t.len);
+      const int dsym = DistanceToSymbol(t.dist);
+      ++litlen_freq[lsym];
+      ++dist_freq[dsym];
+      extra_bits += kLengthExtra[lsym - 257] + kDistExtra[dsym];
     }
   }
   ++litlen_freq[kEndOfBlock];
@@ -450,8 +505,8 @@ void EncodeBlock(BitWriter& bw, std::span<const Token> tokens,
   BlockCodes dyn;
   dyn.litlen_lengths = PackageMergeLengths(litlen_freq, kMaxHuffmanBits);
   dyn.dist_lengths = PackageMergeLengths(dist_freq, kMaxHuffmanBits);
-  dyn.litlen_codes = CanonicalCodes(dyn.litlen_lengths);
-  dyn.dist_codes = CanonicalCodes(dyn.dist_lengths);
+  dyn.litlen_codes = ReversedCodes(dyn.litlen_lengths);
+  dyn.dist_codes = ReversedCodes(dyn.dist_lengths);
 
   int hlit = 257;
   for (int s = kNumLitLenSymbols - 1; s >= 257; --s) {
@@ -492,12 +547,14 @@ void EncodeBlock(BitWriter& bw, std::span<const Token> tokens,
   for (const ClenEntry& e : rle) {
     header_bits += clen_lengths[e.symbol] + ClenExtraBits(e.symbol);
   }
-  uint64_t dynamic_bits =
-      header_bits + PayloadBits(tokens, dyn.litlen_lengths, dyn.dist_lengths);
+  uint64_t dynamic_bits = header_bits + extra_bits +
+                          CodeBits(litlen_freq, dyn.litlen_lengths) +
+                          CodeBits(dist_freq, dyn.dist_lengths);
 
   BlockCodes fixed = FixedCodes();
-  uint64_t fixed_bits =
-      PayloadBits(tokens, fixed.litlen_lengths, fixed.dist_lengths);
+  uint64_t fixed_bits = extra_bits +
+                        CodeBits(litlen_freq, fixed.litlen_lengths) +
+                        CodeBits(dist_freq, fixed.dist_lengths);
 
   // Stored: per-chunk 3-bit header + up-to-7-bit pad + 32-bit LEN/NLEN.
   uint64_t nchunks = (block_input.size() + 65534) / 65535;
@@ -543,8 +600,8 @@ Result<Buffer> DeflateCompress(ByteSpan input, const DeflateOptions& options) {
     bw.WriteBits(1, 1);
     bw.WriteBits(1, 2);
     BlockCodes fixed = FixedCodes();
-    bw.WriteHuffmanCode(fixed.litlen_codes[kEndOfBlock],
-                        fixed.litlen_lengths[kEndOfBlock]);
+    bw.WriteBits(fixed.litlen_codes[kEndOfBlock],
+                 fixed.litlen_lengths[kEndOfBlock]);
     bw.PadToByte();
     return out;
   }

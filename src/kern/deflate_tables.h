@@ -37,10 +37,12 @@ inline constexpr uint8_t kDistExtra[30] = {0, 0, 0,  0,  1,  1,  2,  2,  3, 3,
 inline constexpr uint8_t kClenOrder[19] = {16, 17, 18, 0, 8,  7, 9,  6, 10, 5,
                                            11, 4,  12, 3, 13, 2, 14, 1, 15};
 
-/// Maps a match length (3-258) to its length symbol (257-285).
+/// Maps a match length (3-258) to its length symbol (257-285). Unchecked:
+/// the encoder calls it per token, on lengths its match finder bounds.
 int LengthToSymbol(int length);
 
-/// Maps a distance (1-32768) to its distance symbol (0-29).
+/// Maps a distance (1-32768) to its distance symbol (0-29). Unchecked,
+/// like LengthToSymbol.
 int DistanceToSymbol(int distance);
 
 /// Fixed litlen code lengths (RFC 1951 §3.2.6).

@@ -162,22 +162,34 @@ Status ReadDynamicTables(BitReader& br, HuffmanDecoder* litlen_out,
   return Status::Ok();
 }
 
+// The fixed-Huffman decoders (RFC 1951 §3.2.6), built once per process.
+struct FixedDecoders {
+  HuffmanDecoder litlen;
+  HuffmanDecoder dist;
+};
+
+// Never destroyed: a static destroyed at exit would be freed under any
+// thread still decoding then.
+const FixedDecoders& TheFixedDecoders() {
+  static const FixedDecoders& decoders = *[] {
+    std::vector<uint8_t> litlen(kNumLitLenSymbols);
+    for (int s = 0; s < kNumLitLenSymbols; ++s) {
+      litlen[s] = FixedLitLenLength(s);
+    }
+    return new FixedDecoders{
+        HuffmanDecoder::Build(litlen).value(),
+        HuffmanDecoder::Build(std::vector<uint8_t>(kNumDistSymbols, 5))
+            .value()};
+  }();
+  return decoders;
+}
+
 }  // namespace
 
 Result<Buffer> DeflateDecompress(ByteSpan input, size_t max_output) {
   Buffer out;
   BitReader br(input);
-
-  // Fixed tables built once per call.
-  std::vector<uint8_t> fixed_litlen(kNumLitLenSymbols);
-  for (int s = 0; s < kNumLitLenSymbols; ++s) {
-    fixed_litlen[s] = FixedLitLenLength(s);
-  }
-  DPDPU_ASSIGN_OR_RETURN(HuffmanDecoder fixed_litlen_dec,
-                         HuffmanDecoder::Build(fixed_litlen));
-  std::vector<uint8_t> fixed_dist(kNumDistSymbols, 5);
-  DPDPU_ASSIGN_OR_RETURN(HuffmanDecoder fixed_dist_dec,
-                         HuffmanDecoder::Build(fixed_dist));
+  const FixedDecoders& fixed = TheFixedDecoders();
 
   for (;;) {
     uint32_t bfinal, btype;
@@ -210,8 +222,8 @@ Result<Buffer> DeflateDecompress(ByteSpan input, size_t max_output) {
         break;
       }
       case 1: {  // fixed Huffman
-        DPDPU_RETURN_IF_ERROR(InflateBlockPayload(
-            br, fixed_litlen_dec, &fixed_dist_dec, max_output, &out));
+        DPDPU_RETURN_IF_ERROR(InflateBlockPayload(br, fixed.litlen, &fixed.dist,
+                                                  max_output, &out));
         break;
       }
       case 2: {  // dynamic Huffman

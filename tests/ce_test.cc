@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <iterator>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -331,6 +332,27 @@ TEST(CompressMemoTest, ConcurrentCallersGetDeflateBytes) {
         if (!(BuiltinCompress(shared) == expected)) ++mismatches;
         if (!(BuiltinCompress(own) == own_expected)) ++mismatches;
       }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+// Callers that pass equal bytes at once run DEFLATE once: the first marks
+// the input in flight, and the others wait for its output. Each thread
+// passes its own buffer, so the memo can match them only by content.
+TEST(CompressMemoTest, SimultaneousEqualInputsGetDeflateBytes) {
+  const Buffer text = kern::GenerateText(256 << 10, {14});
+  const Buffer expected = Deflate(text);
+  constexpr int kThreads = 4;
+  const std::vector<Buffer> copies(kThreads, text);
+  std::latch start(kThreads);
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      if (!(BuiltinCompress(copies[t]) == expected)) ++mismatches;
     });
   }
   for (std::thread& thread : threads) thread.join();

@@ -471,6 +471,18 @@ Buffer GoldenInput(int kind) {
   }
 }
 
+// Adds DeflateCompress(input, level)'s size to *total and folds its size
+// and bytes into *fold.
+void FoldOutput(ByteSpan input, int level, uint64_t* total, uint32_t* fold) {
+  auto out = DeflateCompress(input, DeflateOptions{level});
+  ASSERT_TRUE(out.ok()) << out.status();
+  Buffer size_bytes;
+  size_bytes.AppendU32(uint32_t(out->size()));
+  *fold = Crc32Update(*fold, size_bytes.span());
+  *fold = Crc32Update(*fold, out->span());
+  *total += out->size();
+}
+
 TEST(DeflateTest, OutputBytesArePinned) {
   constexpr size_t kGoldenSizes[] = {0,     1,     2,     3,     4,
                                      5,     100,   258,   259,   4096,
@@ -512,14 +524,7 @@ TEST(DeflateTest, OutputBytesArePinned) {
       uint64_t total = 0;
       uint32_t fold = 0;
       for (size_t size : kGoldenSizes) {
-        auto out = DeflateCompress(input.span().subspan(0, size),
-                                   DeflateOptions{level});
-        ASSERT_TRUE(out.ok()) << out.status();
-        Buffer size_bytes;
-        size_bytes.AppendU32(uint32_t(out->size()));
-        fold = Crc32Update(fold, size_bytes.span());
-        fold = Crc32Update(fold, out->span());
-        total += out->size();
+        FoldOutput(input.span().subspan(0, size), level, &total, &fold);
       }
       EXPECT_EQ(total, kGolden[kind][level - 1][0])
           << "kind " << kind << " level " << level;
@@ -553,6 +558,96 @@ TEST(DeflateTest, MultiBlockOutputBytesArePinned) {
     EXPECT_EQ(out->size(), c.bytes) << c.size << " bytes, level " << c.level;
     EXPECT_EQ(Crc32(out->span()), c.crc)
         << c.size << " bytes, level " << c.level;
+  }
+}
+
+// Inputs around the match finder's switch to its 8-byte chain, which it
+// makes once the best length reaches 7 (MatchFinder in deflate.cc).
+std::vector<Buffer> ChainSwitchInputs(int kind) {
+  std::vector<Buffer> inputs;
+  switch (kind) {
+    case 0:  // periodic around 8 bytes and the 32 KB window, with a
+             // byte changed every 1-64 bytes so that matches break off
+      for (size_t period : {1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 32767,
+                            32768, 32769}) {
+        Buffer pattern = GenerateRandomBytes(period, period);
+        Buffer in(2 * period + 4000);
+        for (size_t i = 0; i < in.size(); ++i) in[i] = pattern[i % period];
+        Pcg32 rng(period);
+        for (size_t i = rng.NextBounded(64); i < in.size();
+             i += 1 + rng.NextBounded(64)) {
+          in[i] ^= uint8_t(1 + rng.NextBounded(255));
+        }
+        inputs.push_back(std::move(in));
+      }
+      break;
+    case 1:  // 4-letter text with a long match that ends 6-9 bytes before
+             // the end, followed by the bytes one past where it broke off
+      for (size_t tail : {6, 7, 8, 9}) {
+        Pcg32 rng(40 + tail);
+        Buffer earlier(3000);
+        for (size_t i = 0; i < earlier.size(); ++i) {
+          earlier[i] = "acgt"[rng.NextBounded(4)];
+        }
+        Buffer in = earlier;
+        in.Append(earlier.span().subspan(0, 1500));
+        in.Append(earlier.span().subspan(1501, tail));
+        inputs.push_back(std::move(in));
+      }
+      break;
+    case 2:
+      inputs.emplace_back(size_t(100000));  // zeros
+      break;
+    case 3:
+      inputs.push_back(GenerateRandomBytes(64 << 10, 6));
+      break;
+    default:  // 64-word vocabulary: long matches everywhere
+      inputs.push_back(GenerateText(300 << 10, {uint64_t(5), 64, 0.95}));
+  }
+  return inputs;
+}
+
+// Pins, like OutputBytesArePinned, the output of inputs that enter, cross
+// and end the 8-byte-chain search and the lazy probe's search for a
+// longer match.
+TEST(DeflateTest, ChainSwitchOutputBytesArePinned) {
+  constexpr int kKinds = 5;
+  // kGolden[kind][level - 1] = {total output bytes, folded CRC32}.
+  constexpr uint64_t kGolden[kKinds][9][2] = {
+      // periodic
+      {{158114, 0xaeedfdc9}, {158106, 0xfc443d1a}, {157935, 0x7826459a},
+       {157845, 0xc79dfdec}, {157752, 0x16b3f976}, {157678, 0x3544065d},
+       {157633, 0xb2415d9f}, {157613, 0x6f9f171d}, {157604, 0xdc609c7a}},
+      // long match, then a short tail
+      {{5850, 0x5a90247f}, {5891, 0x14cfee39}, {5862, 0x13fe5480},
+       {5583, 0x514f6281}, {4083, 0xd00e022e}, {4082, 0xbc199469},
+       {4082, 0xbc199469}, {4082, 0xbc199469}, {4082, 0xbc199469}},
+      // zeros
+      {{113, 0x5e37893e}, {113, 0x5e37893e}, {113, 0x5e37893e},
+       {113, 0x5e37893e}, {113, 0x5e37893e}, {113, 0x5e37893e},
+       {113, 0x5e37893e}, {113, 0x5e37893e}, {113, 0x5e37893e}},
+      // GenerateRandomBytes
+      {{65546, 0x005e89ee}, {65546, 0x005e89ee}, {65546, 0x005e89ee},
+       {65546, 0x005e89ee}, {65546, 0x005e89ee}, {65546, 0x005e89ee},
+       {65546, 0x005e89ee}, {65546, 0x005e89ee}, {65546, 0x005e89ee}},
+      // 64-word vocabulary
+      {{78773, 0xe7ee1aca}, {75232, 0x44393307}, {72136, 0x9486f718},
+       {73333, 0x3c597f81}, {70375, 0x58d96b3f}, {68052, 0xc05c3c11},
+       {66103, 0x6f5d08b8}, {65024, 0x4ce18f36}, {64614, 0x148e8557}}};
+  for (int kind = 0; kind < kKinds; ++kind) {
+    std::vector<Buffer> inputs = ChainSwitchInputs(kind);
+    for (int level = 1; level <= 9; ++level) {
+      uint64_t total = 0;
+      uint32_t fold = 0;
+      for (const Buffer& input : inputs) {
+        FoldOutput(input.span(), level, &total, &fold);
+      }
+      EXPECT_EQ(total, kGolden[kind][level - 1][0])
+          << "kind " << kind << " level " << level;
+      EXPECT_EQ(fold, kGolden[kind][level - 1][1])
+          << "kind " << kind << " level " << level << " {" << total << ", 0x"
+          << std::hex << fold << "}";
+    }
   }
 }
 
