@@ -65,9 +65,9 @@ WALL_THROUGHPUT_UNITS = {"events_per_sec", "bytes_per_second",
                          "items_per_second"}
 
 # Micro-kernel benches gated in CI; a filter keeps the job fast.
-MICRO_FILTER = ("BM_Crc32|BM_DeflateCompress|BM_DeflateDecompress|"
-                "BM_HuffmanDecode|BM_RegexCount|BM_SimulatorEvents|"
-                "BM_SimulatorDeepHeap")
+MICRO_FILTER = ("BM_ChaCha20|BM_Crc32|BM_DeflateCompress|"
+                "BM_DeflateDecompress|BM_HuffmanDecode|BM_RegexCount|"
+                "BM_SimulatorEvents|BM_SimulatorDeepHeap")
 
 # The run matrix's tie-break policies. The first is the default order and
 # the one checked against the baseline; the others must reproduce it.

@@ -72,6 +72,11 @@ class HuffmanDecoder {
   /// Number of symbols with non-zero length.
   int used_symbols() const { return static_cast<int>(symbols_.size()); }
 
+  /// The 2^kLutBits-entry table DecodeFast probes (see lut_), for a
+  /// decode loop that keeps its bits in locals. Requires a Build()-made
+  /// decoder.
+  const uint16_t* lut() const { return lut_.data(); }
+
  private:
   // count_[l]: number of codes of length l; symbols_ sorted canonically.
   std::vector<uint16_t> count_;

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -759,6 +760,323 @@ TEST(InflateTest, MutatedStreamsReturnAStatus) {
   }
   EXPECT_GT(decoded, 0);
   EXPECT_GT(failed, 0);
+}
+
+// Reference inflater for the differential test, puff-style (after zlib's
+// contrib/puff): one bit at a time, sharing no code with inflate.cc but
+// the RFC 1951 tables. It keeps DeflateDecompress's contract: incomplete
+// codes decode until the stream presents an unassigned code, and the
+// output limit is checked where the decoder checks it.
+class ReferenceInflater {
+ public:
+  ReferenceInflater(ByteSpan in, size_t max_output)
+      : in_(in), max_output_(max_output) {}
+
+  Result<Buffer> Run() {
+    for (;;) {
+      uint32_t last, type;
+      if (!Bits(1, &last) || !Bits(2, &type)) return Corrupt();
+      Status status = type == 0   ? Stored()
+                      : type == 1 ? Fixed()
+                      : type == 2 ? Dynamic()
+                                  : Corrupt();
+      if (!status.ok()) return status;
+      if (last) return std::move(out_);
+    }
+  }
+
+ private:
+  struct Code {
+    std::vector<int> count;   // count[len]: codes of length len
+    std::vector<int> symbol;  // symbols in canonical order
+  };
+
+  static Status Corrupt() { return Status::Corruption("reference"); }
+  static Status Full() { return Status::ResourceExhausted("reference"); }
+
+  bool Bits(int n, uint32_t* v) {
+    *v = 0;
+    for (int i = 0; i < n; ++i, ++bit_) {
+      if (bit_ >= 8 * in_.size()) return false;
+      *v |= uint32_t((in_[bit_ / 8] >> (bit_ % 8)) & 1) << i;
+    }
+    return true;
+  }
+
+  // False on an over-subscribed code.
+  static bool Build(const std::vector<int>& lengths, Code* code) {
+    code->count.assign(16, 0);
+    for (int len : lengths) ++code->count[len];
+    std::vector<int> offset(16, 0);
+    for (int len = 1, left = 1; len < 16; ++len) {
+      left = 2 * left - code->count[len];
+      if (left < 0) return false;
+      if (len < 15) offset[len + 1] = offset[len] + code->count[len];
+    }
+    code->symbol.assign(lengths.size(), 0);
+    for (size_t s = 0; s < lengths.size(); ++s) {
+      if (lengths[s] > 0) code->symbol[offset[lengths[s]]++] = int(s);
+    }
+    return true;
+  }
+
+  Status Decode(const Code& code, int* symbol) {
+    for (int len = 1, value = 0, first = 0, index = 0; len < 16; ++len) {
+      uint32_t bit;
+      if (!Bits(1, &bit)) return Corrupt();
+      value |= int(bit);
+      if (value - first < code.count[len]) {
+        *symbol = code.symbol[index + value - first];
+        return Status::Ok();
+      }
+      index += code.count[len];
+      first = (first + code.count[len]) << 1;
+      value <<= 1;
+    }
+    return Corrupt();
+  }
+
+  Status Stored() {
+    bit_ = (bit_ + 7) / 8 * 8;
+    uint32_t len, nlen;
+    if (!Bits(16, &len) || !Bits(16, &nlen)) return Corrupt();
+    if (len != (~nlen & 0xFFFF)) return Corrupt();
+    if (out_.size() + len > max_output_) return Full();
+    if (bit_ / 8 + len > in_.size()) return Corrupt();
+    out_.Append(in_.subspan(bit_ / 8, len));
+    bit_ += 8 * size_t(len);
+    return Status::Ok();
+  }
+
+  Status Fixed() {
+    std::vector<int> lengths(288);
+    for (int s = 0; s < 288; ++s) {
+      lengths[s] = s < 144 ? 8 : s < 256 ? 9 : s < 280 ? 7 : 8;
+    }
+    Code litlen, dist;
+    Build(lengths, &litlen);
+    Build(std::vector<int>(30, 5), &dist);
+    return Codes(litlen, dist);
+  }
+
+  Status Dynamic() {
+    uint32_t nlen, ndist, ncode;
+    if (!Bits(5, &nlen) || !Bits(5, &ndist) || !Bits(4, &ncode)) {
+      return Corrupt();
+    }
+    nlen += 257;
+    ndist += 1;
+    if (nlen > 286 || ndist > 30) return Corrupt();
+    std::vector<int> lengths(19, 0);
+    for (uint32_t i = 0; i < ncode + 4; ++i) {
+      uint32_t v;
+      if (!Bits(3, &v)) return Corrupt();
+      lengths[kClenOrder[i]] = int(v);
+    }
+    Code clen;
+    if (!Build(lengths, &clen)) return Corrupt();
+    lengths.clear();
+    while (lengths.size() < nlen + ndist) {
+      int symbol = 0;
+      DPDPU_RETURN_IF_ERROR(Decode(clen, &symbol));
+      uint32_t repeat = 1;
+      int value = symbol;
+      if (symbol == 16) {
+        if (lengths.empty() || !Bits(2, &repeat)) return Corrupt();
+        value = lengths.back();
+        repeat += 3;
+      } else if (symbol > 16) {
+        bool ok = symbol == 17 ? Bits(3, &repeat) : Bits(7, &repeat);
+        if (!ok) return Corrupt();
+        value = 0;
+        repeat += symbol == 17 ? 3 : 11;
+      }
+      if (lengths.size() + repeat > nlen + ndist) return Corrupt();
+      lengths.insert(lengths.end(), repeat, value);
+    }
+    if (lengths[256] == 0) return Corrupt();
+    Code litlen, dist;
+    if (!Build({lengths.begin(), lengths.begin() + nlen}, &litlen) ||
+        !Build({lengths.begin() + nlen, lengths.end()}, &dist)) {
+      return Corrupt();
+    }
+    return Codes(litlen, dist);
+  }
+
+  Status Codes(const Code& litlen, const Code& dist) {
+    for (;;) {
+      int symbol = 0;
+      DPDPU_RETURN_IF_ERROR(Decode(litlen, &symbol));
+      if (symbol == 256) return Status::Ok();
+      if (symbol < 256) {
+        if (out_.size() >= max_output_) return Full();
+        out_.AppendU8(uint8_t(symbol));
+        continue;
+      }
+      if (symbol > 285) return Corrupt();
+      uint32_t extra;
+      if (!Bits(kLengthExtra[symbol - 257], &extra)) return Corrupt();
+      size_t length = kLengthBase[symbol - 257] + extra;
+      int dsymbol = 0;
+      DPDPU_RETURN_IF_ERROR(Decode(dist, &dsymbol));
+      if (!Bits(kDistExtra[dsymbol], &extra)) return Corrupt();
+      size_t distance = kDistBase[dsymbol] + extra;
+      if (distance > out_.size()) return Corrupt();
+      if (out_.size() + length > max_output_) return Full();
+      for (size_t i = 0; i < length; ++i) {
+        out_.AppendU8(out_[out_.size() - distance]);
+      }
+    }
+  }
+
+  ByteSpan in_;
+  size_t max_output_;
+  size_t bit_ = 0;
+  Buffer out_;
+};
+
+// A dynamic block whose litlen and distance codes run from 1 to 15 bits:
+// each code gives its 16 symbols lengths 1, 2, ..., 14, 15, 15 (Kraft sum
+// 1), and the tokens draw symbols uniformly, so codes longer than the
+// decoder's table are as common as short ones.
+Buffer LongCodeDynamicBlock() {
+  const int kLitLen[16] = {'e', 257, 't', 265, 'a', 270, ' ', 280,
+                           'o', 284, 'n', 285, 'x', 'z', 256, 'q'};
+  const int kDist[16] = {0, 4, 10, 15, 20, 25, 29, 1,
+                         2, 3, 5,  6,  7,  8,  9,  11};
+  std::vector<uint8_t> lengths(286 + 30, 0);
+  for (int i = 0; i < 16; ++i) {
+    lengths[kLitLen[i]] = uint8_t(std::min(i + 1, 15));
+    lengths[286 + kDist[i]] = uint8_t(std::min(i + 1, 15));
+  }
+  std::vector<uint8_t> litlen_lengths(lengths.begin(), lengths.begin() + 286);
+  std::vector<uint8_t> dist_lengths(lengths.begin() + 286, lengths.end());
+  std::vector<uint32_t> litlen_codes = CanonicalCodes(litlen_lengths);
+  std::vector<uint32_t> dist_codes = CanonicalCodes(dist_lengths);
+
+  Buffer out;
+  BitWriter w(&out);
+  w.WriteBits(1, 1);    // BFINAL
+  w.WriteBits(2, 2);    // dynamic
+  w.WriteBits(29, 5);   // 286 litlen codes
+  w.WriteBits(29, 5);   // 30 distance codes
+  w.WriteBits(15, 4);   // 19 code-length code lengths
+  for (int i = 0; i < 19; ++i) {
+    w.WriteBits(kClenOrder[i] < 16 ? 4 : 0, 3);
+  }
+  // Code-length symbols 0-15 all have length 4, so code = symbol.
+  for (uint8_t len : lengths) w.WriteHuffmanCode(len, 4);
+
+  Pcg32 rng(15);
+  size_t produced = 0;
+  for (int token = 0; token < 5000; ++token) {
+    int s = kLitLen[rng.NextBounded(16)];
+    if (s == 256) continue;
+    int d = kDist[rng.NextBounded(16)];
+    uint32_t dextra = rng.NextBounded(1u << kDistExtra[d]);
+    if (s > 256 && kDistBase[d] + dextra > produced) s = 'e';
+    w.WriteHuffmanCode(litlen_codes[s], litlen_lengths[s]);
+    if (s < 256) {
+      ++produced;
+      continue;
+    }
+    uint32_t lextra = rng.NextBounded(1u << kLengthExtra[s - 257]);
+    w.WriteBits(lextra, kLengthExtra[s - 257]);
+    w.WriteHuffmanCode(dist_codes[d], dist_lengths[d]);
+    w.WriteBits(dextra, kDistExtra[d]);
+    produced += kLengthBase[s - 257] + lextra;
+  }
+  w.WriteHuffmanCode(litlen_codes[256], litlen_lengths[256]);
+  w.PadToByte();
+  return out;
+}
+
+// DeflateDecompress must return the reference's bytes, or its StatusCode.
+void ExpectMatchesReference(ByteSpan stream, size_t max_output) {
+  Result<Buffer> got = DeflateDecompress(stream, max_output);
+  Result<Buffer> want = ReferenceInflater(stream, max_output).Run();
+  ASSERT_EQ(got.status().code(), want.status().code())
+      << got.status() << " / reference " << want.status() << ", "
+      << stream.size() << "-byte stream, max_output " << max_output;
+  if (want.ok()) {
+    ASSERT_TRUE(*got == *want)
+        << stream.size() << "-byte stream, max_output " << max_output;
+  }
+}
+
+// Differential test of the fast loop and the careful step against the
+// reference: text at levels 1, 6 and 9 up to 3 MB, stored blocks, zeros,
+// periodic inputs (distances 1-9 and 32,768), fixed blocks, 15-bit codes,
+// trailing bytes after the final block, output limits at and one under
+// the output size, and mutated streams.
+TEST(InflateTest, FastLoopMatchesReference) {
+  constexpr size_t kNoLimit = size_t(1) << 31;
+  std::vector<Buffer> streams;
+  auto add = [&](ByteSpan input, int level) {
+    auto compressed = DeflateCompress(input, DeflateOptions{level});
+    ASSERT_TRUE(compressed.ok());
+    streams.push_back(std::move(*compressed));
+  };
+  Buffer text = GenerateText(3 << 20, {});
+  for (int level : {1, 6, 9}) {
+    for (size_t size : {0, 1, 9, 100, 4096, 65536, 300 << 10, 3 << 20}) {
+      add(text.span().subspan(0, size), level);
+    }
+  }
+  add(GenerateRandomBytes(200000, 8).span(), 6);
+  add(Buffer(size_t(100000)).span(), 6);
+  for (size_t period : {1, 2, 3, 4, 5, 6, 7, 8, 9, 32768}) {
+    Buffer pattern = GenerateRandomBytes(period, period);
+    Buffer in(3 * period + 20000);
+    for (size_t i = 0; i < in.size(); ++i) in[i] = pattern[i % period];
+    add(in.span(), 6);
+  }
+  for (const char* s : {"a", "abcabcabcabcabcabcabc", "a short fixed block",
+                        "hello, hello, hello world, hello, hello!"}) {
+    add(Buffer(std::string_view(s)).span(), 6);
+  }
+  streams.push_back(LongCodeDynamicBlock());
+
+  Pcg32 rng(28);
+  for (const Buffer& stream : streams) {
+    Result<Buffer> want = ReferenceInflater(stream.span(), kNoLimit).Run();
+    ASSERT_TRUE(want.ok()) << want.status();
+    ExpectMatchesReference(stream.span(), kNoLimit);
+    ExpectMatchesReference(stream.span(), want->size());
+    if (!want->empty()) ExpectMatchesReference(stream.span(), want->size() - 1);
+    if (stream.size() > 64 << 10) continue;
+    // The last token ending 1-16 bytes before the input end.
+    for (size_t k = 1; k <= 16; ++k) {
+      Buffer padded = stream;
+      for (size_t i = 0; i < k; ++i) padded.AppendU8(uint8_t(rng.Next()));
+      ExpectMatchesReference(padded.span(), kNoLimit);
+    }
+  }
+
+  // Fixed blocks that present the reserved length symbols 286 and 287
+  // after 40 literals, with 16 bytes after them so that the fast loop
+  // decodes them.
+  for (int reserved : {286, 287}) {
+    Buffer bad;
+    BitWriter w(&bad);
+    w.WriteBits(1, 1);
+    w.WriteBits(1, 2);
+    for (int i = 0; i < 40; ++i) w.WriteHuffmanCode(0x30 + 'a', 8);
+    w.WriteHuffmanCode(0xC0 + reserved - 280, 8);
+    w.PadToByte();
+    bad.Append(Buffer(size_t(16)).span());
+    ExpectMatchesReference(bad.span(), kNoLimit);
+  }
+
+  std::vector<const Buffer*> small;
+  for (const Buffer& stream : streams) {
+    if (stream.size() <= 16 << 10) small.push_back(&stream);
+  }
+  for (int trial = 0; trial < 10000; ++trial) {
+    Buffer mutated = *small[rng.NextBounded(uint32_t(small.size()))];
+    Mutate(rng, &mutated);
+    ExpectMatchesReference(mutated.span(), 1 << 20);
+  }
 }
 
 TEST(LengthSymbolTest, BoundariesMatchRfcTables) {

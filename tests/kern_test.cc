@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -148,6 +150,38 @@ TEST(ChaCha20Test, NonBlockAlignedLengths) {
     Buffer ct = ChaCha20Xor(key, nonce, 0, pt.span());
     Buffer back = ChaCha20Xor(key, nonce, 0, ct.span());
     EXPECT_EQ(back, pt) << "n=" << n;
+  }
+}
+
+// ChaCha20Xor must XOR its input with the concatenated ChaCha20Block
+// outputs for counter, counter + 1, ... (mod 2^32) at every length: below,
+// across and past a group of 4 blocks, and with the counter wrapping
+// inside one.
+TEST(ChaCha20Test, XorMatchesBlockKeystream) {
+  std::array<uint8_t, 32> key;
+  for (int i = 0; i < 32; ++i) key[i] = static_cast<uint8_t>(0xA5 ^ (29 * i));
+  const std::array<uint8_t, 12> nonce = {1, 2, 3, 4,  5,  6,
+                                         7, 8, 9, 10, 11, 12};
+  constexpr size_t kMax = 1 << 20;
+  Buffer input = GenerateRandomBytes(kMax, 28);
+  std::vector<size_t> lengths(1101);
+  std::iota(lengths.begin(), lengths.end(), size_t{0});
+  lengths.push_back(64 << 10);
+  lengths.push_back(kMax);
+  for (uint32_t counter : {0u, 1u, 0xFFFFFFFDu}) {
+    std::vector<uint8_t> expected(kMax);
+    for (size_t b = 0; b < kMax / 64; ++b) {
+      auto block = ChaCha20Block(key, nonce, counter + uint32_t(b));
+      for (size_t i = 0; i < 64; ++i) {
+        expected[64 * b + i] = input[64 * b + i] ^ block[i];
+      }
+    }
+    for (size_t n : lengths) {
+      Buffer out = ChaCha20Xor(key, nonce, counter, input.span().subspan(0, n));
+      ASSERT_EQ(out.size(), n);
+      EXPECT_TRUE(std::equal(out.data(), out.data() + n, expected.begin()))
+          << "counter " << counter << ", length " << n;
+    }
   }
 }
 
