@@ -92,7 +92,7 @@ ConsistencyPoint RunConsistency(bool enabled, uint64_t seed) {
   // Quiesced read-back: staleness is visible even for keys the window's
   // tail never touched.
   for (uint64_t key = 0; key < wopts.keyspace; ++key) {
-    clients[0]->IssueRead(key);
+    clients[0]->IssueReadChecked(key, nullptr);
   }
   sim.Run();
 

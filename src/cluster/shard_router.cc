@@ -27,12 +27,11 @@ ShardRouter::ShardRouter(std::vector<netsub::NodeId> servers,
                          Options options)
     : options_(options), servers_(std::move(servers)) {
   DPDPU_CHECK(!servers_.empty());
-  DPDPU_CHECK(options_.vnodes_per_server > 0);
   DPDPU_CHECK(options_.replication >= 1);
   DPDPU_CHECK(options_.replication <= servers_.size());
-  ring_.reserve(servers_.size() * options_.vnodes_per_server);
+  ring_.reserve(servers_.size() * kVnodesPerServer);
   for (netsub::NodeId server : servers_) {
-    for (uint32_t v = 0; v < options_.vnodes_per_server; ++v) {
+    for (uint32_t v = 0; v < kVnodesPerServer; ++v) {
       uint64_t point =
           HashU64((uint64_t(server) << 32) | uint64_t(v) << 1 | 1);
       ring_.push_back(Point{point, server});

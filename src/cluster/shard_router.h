@@ -28,9 +28,10 @@ uint64_t HashU64(uint64_t value);
 
 class ShardRouter {
  public:
+  /// Virtual nodes per server; more vnodes = smoother load spread.
+  static constexpr uint32_t kVnodesPerServer = 64;
+
   struct Options {
-    /// Virtual nodes per server; more vnodes = smoother load spread.
-    uint32_t vnodes_per_server = 64;
     /// Replication factor: size of each key's preference list.
     uint32_t replication = 1;
   };

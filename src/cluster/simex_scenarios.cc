@@ -66,7 +66,8 @@ void ScheduleWrite(Simulator& sim, FleetClient& client, GroundTruth& truth,
 
 void ScheduleRead(Simulator& sim, FleetClient& client, SimTime when,
                   uint64_t key) {
-  sim.ScheduleAt(when, [&client, key] { client.IssueRead(key); });
+  sim.ScheduleAt(when,
+                 [&client, key] { client.IssueReadChecked(key, nullptr); });
 }
 
 // First `count` keys whose preference list starts at storage node
@@ -208,7 +209,7 @@ void VerifyReads(Simulator& sim, FleetClient& client,
                  const GroundTruth& truth) {
   for (const auto& [key, version] : truth.issued) {
     (void)version;
-    client.IssueRead(key);
+    client.IssueReadChecked(key, nullptr);
   }
   sim.Run();
 }

@@ -76,14 +76,9 @@ class FleetClient {
   /// operation completes or is abandoned.
   void IssueOne(std::function<void()> done = nullptr);
 
-  /// Deterministic targeted operations for tests and benches: no RNG
-  /// draws, offloadable flags.
-  void IssueRead(uint64_t key, std::function<void()> done = nullptr);
-  void IssueWrite(uint64_t key, std::function<void()> done = nullptr);
-
-  /// Like IssueRead/IssueWrite but reporting the op's outcome; simex
-  /// scenarios key per-op ground truth (which write versions were acked
-  /// to the caller) on it.
+  /// Deterministic targeted operations: no RNG draws, offloadable flags.
+  /// `done`, if set, gets the op's outcome; simex scenarios key per-op
+  /// ground truth (which write versions were acked to the caller) on it.
   void IssueReadChecked(uint64_t key, std::function<void(bool ok)> done);
   void IssueWriteChecked(uint64_t key, std::function<void(bool ok)> done);
 
@@ -97,8 +92,7 @@ class FleetClient {
 
   se::RemoteStorageClient* ClientFor(netsub::NodeId node);
   void Issue(uint64_t key, bool is_read, uint8_t flags,
-             std::function<void()> done,
-             std::function<void(bool)> done_ok = nullptr);
+             std::function<void(bool)> done);
   void AttemptRead(std::shared_ptr<Op> op);
   void OnReadReply(std::shared_ptr<Op> op, netsub::NodeId server,
                    Result<Buffer> data, uint64_t version);

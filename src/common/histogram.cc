@@ -47,14 +47,6 @@ void Histogram::Merge(const Histogram& other) {
   for (int i = 0; i < kNumBuckets; ++i) buckets_[i] += other.buckets_[i];
 }
 
-void Histogram::Reset() {
-  count_ = 0;
-  min_ = 0;
-  max_ = 0;
-  sum_ = 0;
-  std::fill(buckets_.begin(), buckets_.end(), 0);
-}
-
 uint64_t Histogram::Percentile(double p) const {
   if (count_ == 0) return 0;
   p = std::clamp(p, 0.0, 100.0);

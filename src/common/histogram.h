@@ -18,7 +18,6 @@ class Histogram {
 
   void Add(uint64_t value);
   void Merge(const Histogram& other);
-  void Reset();
 
   uint64_t count() const { return count_; }
   uint64_t min() const { return count_ == 0 ? 0 : min_; }

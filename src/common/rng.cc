@@ -21,7 +21,8 @@ uint32_t Pcg32::Next() {
 }
 
 uint64_t Pcg32::Next64() {
-  return (static_cast<uint64_t>(Next()) << 32) | Next();
+  uint64_t hi = Next();
+  return (hi << 32) | Next();
 }
 
 uint32_t Pcg32::NextBounded(uint32_t bound) {
@@ -32,15 +33,6 @@ uint32_t Pcg32::NextBounded(uint32_t bound) {
     uint32_t r = Next();
     if (r >= threshold) return r % bound;
   }
-}
-
-uint64_t Pcg32::NextRange(uint64_t lo, uint64_t hi) {
-  uint64_t span = hi - lo + 1;
-  if (span == 0) return Next64();  // full 64-bit range
-  if (span <= UINT32_MAX) return lo + NextBounded(static_cast<uint32_t>(span));
-  // Wide range: compose from two bounded draws; slight bias acceptable for
-  // > 32-bit workload parameter spaces.
-  return lo + (Next64() % span);
 }
 
 double Pcg32::NextDouble() {

@@ -20,15 +20,12 @@ class Pcg32 {
   /// Uniform 32-bit value.
   uint32_t Next();
 
-  /// Uniform 64-bit value.
+  /// Uniform 64-bit value: the first 32-bit draw is the high word.
   uint64_t Next64();
 
   /// Uniform in [0, bound). bound must be > 0. Unbiased (rejection
   /// sampling).
   uint32_t NextBounded(uint32_t bound);
-
-  /// Uniform in [lo, hi] inclusive. Requires lo <= hi.
-  uint64_t NextRange(uint64_t lo, uint64_t hi);
 
   /// Uniform double in [0, 1).
   double NextDouble();

@@ -8,11 +8,9 @@
 #include <memory>
 #include <mutex>
 #include <new>
-#include <optional>
 #include <string_view>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "hw/calibration.h"
 #include "kern/chacha20.h"
@@ -129,226 +127,51 @@ Result<kern::Value> LiteralFromParams(const KernelParams& params) {
   return Status::InvalidArgument("kernel: bad value_type " + type);
 }
 
-// --- compress memo -------------------------------------------------------
+// --- compress table ------------------------------------------------------
 //
 // Simulated time comes from the cost models, not from running the kernel,
 // so compressing one input at one level again only repeats host work. The
-// builtin compress fn keeps a process-wide LRU of its outputs, keyed on the
-// parsed level plus the full input bytes: the hash picks the bucket, and
-// size plus memcmp decide equality. Every copy of the builtin's fn shares
-// it; another kernel registered as "compress" never sees it. Only
-// successful outputs are stored.
+// builtin compress fn keeps one process-wide table of DEFLATE runs. Every
+// copy of the builtin's fn shares it; another kernel registered as
+// "compress" never sees it. A failure is never kept.
 //
-// A job's output is first needed at its completion event, so the builtin's
-// prefetch hook queues the job's compress at launch for a few helper
-// threads. The fn, still called once per job on the simulation thread,
-// takes the finished output, runs a still-queued compress itself or waits
-// for a running one. A prefetch is matched to that call by the input's
-// address: it holds the job's input buffer, so while it exists no other
-// buffer can sit at that address.
-
-struct CompressMemoKey {
-  size_t hash;  // of `input`
-  int level;
-  std::string_view input;
-  bool operator==(const CompressMemoKey&) const = default;
-};
-
-struct CompressMemoKeyHash {
-  size_t operator()(const CompressMemoKey& key) const { return key.hash; }
-};
+// An entry is found two ways. By content: the input's hash, level and
+// size pick a candidate, and memcmp decides equality, so equal inputs
+// share one DEFLATE and its stored output. By job: a job's output is first
+// needed at its completion event, so the builtin's prefetch hook enters
+// the job's compress at launch, queued for a few helper threads, and the
+// fn, still called once per job on the simulation thread, finds it by the
+// input's address. The entry holds the job's input buffer, so while it
+// exists no other buffer can sit at that address, and a launch never
+// hashes its input.
+//
+// One mutex guards the table. No hash, memcmp or DEFLATE runs under it:
+// inputs never change, so bytes are compared after it is released.
 
 using SharedBuffer = std::shared_ptr<const Buffer>;
 
-// Input and output are shared so that no copy is made under the lock;
-// the input is often a prefetched job's own buffer.
-struct CompressMemoEntry {
-  size_t hash;
+struct CompressKey {
+  size_t hash;  // of the input
   int level;
-  SharedBuffer input;
-  SharedBuffer output;
-  CompressMemoKey key() const { return {hash, level, input->view()}; }
+  size_t size;  // of the input
+  bool operator==(const CompressKey&) const = default;
 };
 
-struct CompressMemo {
-  std::mutex mu;
-  std::list<CompressMemoEntry> lru;  // most recently used first
-  std::unordered_map<CompressMemoKey, std::list<CompressMemoEntry>::iterator,
-                     CompressMemoKeyHash>
-      index;  // keys view the entries' own input bytes
-  size_t bytes = 0;
-  // Keys that a caller is compressing; each views that caller's input.
-  std::unordered_set<CompressMemoKey, CompressMemoKeyHash> in_flight;
-  std::condition_variable landed;  // a key left in_flight
+struct CompressKeyHash {
+  size_t operator()(const CompressKey& key) const { return key.hash; }
 };
 
-CompressMemo& TheCompressMemo() {
-  static CompressMemo memo;
-  return memo;
-}
-
-CompressMemoKey MakeCompressMemoKey(int level, ByteSpan input) {
-  std::string_view bytes(reinterpret_cast<const char*>(input.data()),
-                         input.size());
-  return {std::hash<std::string_view>{}(bytes), level, bytes};
-}
-
-// The stored output for `key`, marked most recently used, once no other
-// caller is compressing the same input. On a miss it marks `key` in
-// flight and returns null: this caller compresses the input, and an
-// InFlightMark clears the mark.
-SharedBuffer LookupCompressMemo(const CompressMemoKey& key) {
-  CompressMemo& memo = TheCompressMemo();
-  std::unique_lock<std::mutex> lock(memo.mu);
-  while (memo.in_flight.contains(key)) memo.landed.wait(lock);
-  auto it = memo.index.find(key);
-  if (it == memo.index.end()) {
-    memo.in_flight.insert(key);
-    return nullptr;
-  }
-  memo.lru.splice(memo.lru.begin(), memo.lru, it->second);
-  return it->second->output;
-}
-
-// Clears the in-flight mark of `key` and wakes its waiters, whether the
-// compress was stored, failed or threw. A waiter that then misses, as
-// the output was evicted or never stored, compresses the input itself.
-class InFlightMark {
- public:
-  explicit InFlightMark(const CompressMemoKey& key) : key_(key) {}
-  InFlightMark(const InFlightMark&) = delete;
-  InFlightMark& operator=(const InFlightMark&) = delete;
-  ~InFlightMark() {
-    CompressMemo& memo = TheCompressMemo();
-    {
-      std::lock_guard<std::mutex> lock(memo.mu);
-      memo.in_flight.erase(key_);
-    }
-    memo.landed.notify_all();
-  }
-
- private:
-  const CompressMemoKey& key_;  // CompressMemoized's, which outlives it
-};
-
-// The caller holds the in-flight mark of `key`, so the key is not stored.
-void StoreCompressMemo(const CompressMemoKey& key, SharedBuffer input,
-                       SharedBuffer output) {
-  // Evicted entries are freed after the lock is released.
-  std::list<CompressMemoEntry> evicted;
-  evicted.push_back({key.hash, key.level, std::move(input), std::move(output)});
-  CompressMemo& memo = TheCompressMemo();
-  std::lock_guard<std::mutex> lock(memo.mu);
-  const CompressMemoEntry& entry = evicted.front();
-  memo.bytes += entry.input->size() + entry.output->size();
-  memo.lru.splice(memo.lru.begin(), evicted);
-  memo.index.emplace(memo.lru.front().key(), memo.lru.begin());
-  while (memo.bytes > kCompressMemoBudgetBytes && memo.lru.size() > 1) {
-    const CompressMemoEntry& oldest = memo.lru.back();
-    memo.bytes -= oldest.input->size() + oldest.output->size();
-    memo.index.erase(oldest.key());
-    evicted.splice(evicted.end(), memo.lru, std::prev(memo.lru.end()));
-  }
-}
-
-// The memo's output for `input` at `level`, or DEFLATE's, then stored.
-// Callers that pass equal inputs at once run DEFLATE once: the others
-// wait for its output. `owned`, when set, holds `input`'s bytes for the
-// memo to share. The memo keeps an exact-size copy of DEFLATE's output,
-// whose buffer grew by doubling; the caller copies the output it
-// returns, so a helper thread's allocations outlive it only in the memo.
-Result<SharedBuffer> CompressMemoized(int level, ByteSpan input,
-                                      SharedBuffer owned) {
-  CompressMemoKey key = MakeCompressMemoKey(level, input);
-  if (SharedBuffer hit = LookupCompressMemo(key)) return hit;
-  InFlightMark mark(key);
-  kern::DeflateOptions options;
-  options.level = level;
-  DPDPU_ASSIGN_OR_RETURN(Buffer output, kern::DeflateCompress(input, options));
-  auto shared = std::make_shared<const Buffer>(output);
-  if (owned == nullptr) {
-    owned = std::make_shared<const Buffer>(input.data(), input.size());
-  }
-  StoreCompressMemo(key, std::move(owned), shared);
-  return shared;
-}
-
-// One job's compress, from its launch until the job's fn call takes it.
-struct CompressPrefetch {
+// One DEFLATE of one input at one level. Shared, so that a waiter or a
+// byte comparison can outlive the table's hold on it.
+struct Compress {
   enum class State { kQueued, kRunning, kDone };
-  SharedBuffer input;
-  int level;
+  CompressKey key;     // `hash` is set once running
+  SharedBuffer input;  // null while a call with no job runs it
   State state = State::kQueued;
   Result<SharedBuffer> output = SharedBuffer();  // once kDone
 };
 
-// The prefetches and the helper threads that run them. Its own lock, so
-// that a helper comparing a large input in the memo never blocks the
-// simulation thread's launches.
-struct CompressPrefetchQueue {
-  std::mutex mu;
-  // In launch order. A running prefetch is never erased, so a helper's
-  // iterator to the one it runs stays valid.
-  std::list<CompressPrefetch> prefetches;
-  size_t bytes = 0;                  // their input bytes
-  std::condition_variable queued;    // a prefetch was queued, or stopping
-  std::condition_variable finished;  // a prefetch is done
-  bool stopping = false;
-  std::vector<std::thread> helpers;  // started by the first prefetch
-
-  CompressPrefetchQueue() = default;
-  CompressPrefetchQueue(const CompressPrefetchQueue&) = delete;
-  CompressPrefetchQueue& operator=(const CompressPrefetchQueue&) = delete;
-
-  // At exit: each helper finishes the compress it is running, and no
-  // queued one starts.
-  ~CompressPrefetchQueue() {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      stopping = true;
-    }
-    queued.notify_all();
-    for (std::thread& helper : helpers) helper.join();
-  }
-};
-
-CompressPrefetchQueue& TheCompressPrefetchQueue() {
-  // The helpers use the memo, so it must outlive the queue: a static
-  // constructed first is destroyed last.
-  TheCompressMemo();
-  static CompressPrefetchQueue queue;
-  return queue;
-}
-
-// A helper thread: runs queued prefetches, oldest first, until stopping.
-void RunCompressHelper(CompressPrefetchQueue& queue) {
-  std::unique_lock<std::mutex> lock(queue.mu);
-  while (!queue.stopping) {
-    auto it = std::find_if(
-        queue.prefetches.begin(), queue.prefetches.end(),
-        [](const CompressPrefetch& p) {
-          return p.state == CompressPrefetch::State::kQueued;
-        });
-    if (it == queue.prefetches.end()) {
-      queue.queued.wait(lock);
-      continue;
-    }
-    it->state = CompressPrefetch::State::kRunning;
-    SharedBuffer input = it->input;
-    int level = it->level;
-    lock.unlock();
-    Result<SharedBuffer> output = SharedBuffer();
-    try {
-      output = CompressMemoized(level, input->span(), input);
-    } catch (const std::bad_alloc&) {  // the job's fn reports it
-      output = Status::ResourceExhausted("compress: out of memory");
-    }
-    lock.lock();
-    it->output = std::move(output);
-    it->state = CompressPrefetch::State::kDone;
-    queue.finished.notify_all();
-  }
-}
+using CompressPtr = std::shared_ptr<Compress>;
 
 // One helper per host core but the simulation thread's, at most 2. A
 // third ran perfbench's kernel_offload about 11 % faster, but each
@@ -359,88 +182,222 @@ int CompressHelperCount() {
   return std::clamp(cores - 1, 0, 2);
 }
 
+struct CompressTable {
+  std::mutex mu;
+  std::condition_variable queued;  // a job was entered, or stopping
+  std::condition_variable landed;  // an entry is done
+  // Running and stored entries by key, most recently used first. `bytes`
+  // counts the stored ones' input and output.
+  std::list<CompressPtr> lru;
+  std::unordered_map<CompressKey, std::list<CompressPtr>::iterator,
+                     CompressKeyHash>
+      index;
+  size_t bytes = 0;
+  // Launched jobs' entries in launch order, until their fn takes them.
+  std::list<CompressPtr> jobs;
+  size_t job_bytes = 0;  // their input bytes
+  bool stopping = false;
+  const int helper_count = CompressHelperCount();
+  std::vector<std::thread> helpers;  // started by the first job
+
+  CompressTable() = default;
+  CompressTable(const CompressTable&) = delete;
+  CompressTable& operator=(const CompressTable&) = delete;
+
+  // At exit: each helper finishes the DEFLATE it is running, and no
+  // queued one starts.
+  ~CompressTable() {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      stopping = true;
+    }
+    queued.notify_all();
+    for (std::thread& helper : helpers) helper.join();
+  }
+};
+
+CompressTable& TheCompressTable() {
+  static CompressTable table;
+  return table;
+}
+
+// Runs `c`, which its caller has marked running, on `input`, its bytes:
+// shares the output of an entry with equal bytes once that one is done,
+// or runs DEFLATE and stores an exact-size copy of the output (DEFLATE's
+// buffer grew by doubling) as the newest entry. The only place DEFLATE
+// runs.
+void RunCompress(CompressTable& table, const CompressPtr& c, ByteSpan input) {
+  std::string_view bytes(reinterpret_cast<const char*>(input.data()),
+                         input.size());
+  c->key.hash = std::hash<std::string_view>{}(bytes);
+  std::list<CompressPtr> evicted;  // freed after the lock is released
+  std::unique_lock<std::mutex> lock(table.mu);
+  while (true) {
+    auto it = table.index.find(c->key);
+    if (it == table.index.end()) break;
+    CompressPtr other = *it->second;
+    while (other->state != Compress::State::kDone) table.landed.wait(lock);
+    if (!other->output.ok()) continue;  // it left the table
+    SharedBuffer other_input = other->input;
+    lock.unlock();
+    bool equal = other_input->view() == bytes;
+    lock.lock();
+    if (!equal) break;  // equal keys, different bytes
+    it = table.index.find(c->key);
+    if (it != table.index.end() && *it->second == other) {
+      table.lru.splice(table.lru.begin(), table.lru, it->second);
+    }
+    c->output = other->output;
+    c->state = Compress::State::kDone;
+    lock.unlock();
+    table.landed.notify_all();
+    return;
+  }
+  // Only a caller that holds the key stores under it.
+  const bool stores = !table.index.contains(c->key);
+  if (stores) {
+    table.lru.push_front(c);
+    table.index.emplace(c->key, table.lru.begin());
+  }
+  lock.unlock();
+  Result<SharedBuffer> output = SharedBuffer();
+  SharedBuffer owned = c->input;
+  try {
+    Result<Buffer> deflated = kern::DeflateCompress(input, {c->key.level});
+    if (!deflated.ok()) {
+      output = deflated.status();
+    } else {
+      if (stores && owned == nullptr) {
+        owned = std::make_shared<const Buffer>(input.data(), input.size());
+      }
+      output = std::make_shared<const Buffer>(*deflated);
+    }
+  } catch (const std::bad_alloc&) {  // a helper's reaches the job's fn
+    output = Status::ResourceExhausted("compress: out of memory");
+  }
+  lock.lock();
+  if (stores && !output.ok()) {
+    table.lru.erase(table.index.at(c->key));
+    table.index.erase(c->key);
+  } else if (stores) {
+    c->input = std::move(owned);
+    table.bytes += c->input->size() + (*output)->size();
+    table.lru.splice(table.lru.begin(), table.lru, table.index.at(c->key));
+    // Evict done entries, least recently used first; the newest stays.
+    for (auto it = std::prev(table.lru.end());
+         table.bytes > kCompressMemoBudgetBytes && it != table.lru.begin();) {
+      auto victim = it--;
+      const Compress& old = **victim;
+      if (old.state != Compress::State::kDone) continue;
+      table.bytes -= old.input->size() + (*old.output)->size();
+      table.index.erase(old.key);
+      evicted.splice(evicted.end(), table.lru, victim);
+    }
+  }
+  c->output = std::move(output);
+  c->state = Compress::State::kDone;
+  lock.unlock();
+  table.landed.notify_all();
+}
+
+// A helper thread: runs queued jobs, oldest first, until stopping.
+void RunCompressHelper(CompressTable& table) {
+  std::unique_lock<std::mutex> lock(table.mu);
+  while (!table.stopping) {
+    auto it = std::find_if(
+        table.jobs.begin(), table.jobs.end(), [](const CompressPtr& c) {
+          return c->state == Compress::State::kQueued;
+        });
+    if (it == table.jobs.end()) {
+      table.queued.wait(lock);
+      continue;
+    }
+    CompressPtr c = *it;
+    c->state = Compress::State::kRunning;
+    lock.unlock();
+    RunCompress(table, c, c->input->span());
+    c = nullptr;  // released outside the lock
+    lock.lock();
+  }
+}
+
 void CompressPrefetchFn(SharedBuffer input, const KernelParams& params) {
-  static const int kHelpers = CompressHelperCount();
   Result<int> level = NumberParam<int>(params, "level", "6");
+  CompressTable& table = TheCompressTable();
   // A bad level is the fn's to report. An empty input has no address of
   // its own, and one over the budget can never fit.
-  if (kHelpers == 0 || !level.ok() || input->empty() ||
+  if (table.helper_count == 0 || !level.ok() || input->empty() ||
       input->size() > kCompressMemoBudgetBytes) {
     return;
   }
-  CompressPrefetchQueue& queue = TheCompressPrefetchQueue();
-  std::list<CompressPrefetch> dropped;  // freed outside the lock
+  const size_t size = input->size();
+  auto c = std::make_shared<Compress>(
+      Compress{{0, *level, size}, std::move(input)});
+  std::list<CompressPtr> dropped;  // freed outside the lock
   {
-    std::lock_guard<std::mutex> lock(queue.mu);
-    if (queue.helpers.empty()) {
-      for (int i = 0; i < kHelpers; ++i) {
-        queue.helpers.emplace_back(RunCompressHelper, std::ref(queue));
+    std::lock_guard<std::mutex> lock(table.mu);
+    if (table.helpers.empty()) {
+      for (int i = 0; i < table.helper_count; ++i) {
+        table.helpers.emplace_back(RunCompressHelper, std::ref(table));
       }
     }
-    // Make room by dropping done prefetches, oldest first; their output
-    // is shared with the memo, which usually still holds it, and is at
-    // most about as large as the input. Queued and running ones stay, as
-    // they are needed soonest: when they alone fill the budget, this job
-    // is not prefetched. A job that never takes its prefetch leaves it
-    // to be run and then dropped.
-    auto it = queue.prefetches.begin();
-    while (queue.bytes + input->size() > kCompressMemoBudgetBytes &&
-           it != queue.prefetches.end()) {
-      if (it->state != CompressPrefetch::State::kDone) {
+    // Make room by dropping done jobs, oldest first; their output is
+    // usually still stored, and is at most about as large as the input.
+    // Queued and running ones stay, as they are needed soonest: when they
+    // alone fill the budget, this job is not prefetched. A job that never
+    // takes its entry leaves it to be run and then dropped.
+    auto it = table.jobs.begin();
+    while (table.job_bytes + size > kCompressMemoBudgetBytes &&
+           it != table.jobs.end()) {
+      if ((*it)->state != Compress::State::kDone) {
         ++it;
         continue;
       }
-      queue.bytes -= it->input->size();
-      dropped.splice(dropped.end(), queue.prefetches, it++);
+      table.job_bytes -= (*it)->key.size;
+      dropped.splice(dropped.end(), table.jobs, it++);
     }
-    if (queue.bytes + input->size() > kCompressMemoBudgetBytes) return;
-    queue.bytes += input->size();
-    queue.prefetches.push_back({std::move(input), *level});
+    if (table.job_bytes + size > kCompressMemoBudgetBytes) return;
+    table.job_bytes += size;
+    table.jobs.push_back(std::move(c));
   }
-  queue.queued.notify_one();
-}
-
-// Takes the prefetch of this call's job, if there is one: its output once
-// done (waiting while a helper runs it), or, while it is still queued, its
-// input buffer in `*owned` so that this call runs it. nullopt unless done.
-std::optional<Result<SharedBuffer>> TakeCompressPrefetch(int level,
-                                                         ByteSpan input,
-                                                         SharedBuffer* owned) {
-  CompressPrefetchQueue& queue = TheCompressPrefetchQueue();
-  std::unique_lock<std::mutex> lock(queue.mu);
-  while (true) {
-    auto it = std::find_if(
-        queue.prefetches.begin(), queue.prefetches.end(),
-        [&](const CompressPrefetch& p) {
-          return p.input->data() == input.data() &&
-                 p.input->size() == input.size() && p.level == level;
-        });
-    if (it == queue.prefetches.end()) return std::nullopt;
-    if (it->state == CompressPrefetch::State::kRunning) {
-      queue.finished.wait(lock);
-      continue;  // look again: once done, it may have been dropped
-    }
-    std::optional<Result<SharedBuffer>> out;
-    queue.bytes -= it->input->size();
-    if (it->state == CompressPrefetch::State::kDone) {
-      out = std::move(it->output);
-    } else {
-      *owned = std::move(it->input);
-    }
-    queue.prefetches.erase(it);
-    return out;
-  }
+  table.queued.notify_one();
 }
 
 // --- builtin kernel implementations --------------------------------------
 
+// Takes this call's job entry, if there is one: runs it while still
+// queued, waits for it while a helper runs it, or copies its output.
+// A call with no job runs a fresh entry.
 Result<Buffer> CompressFn(ByteSpan input, const KernelParams& params) {
   DPDPU_ASSIGN_OR_RETURN(int level, NumberParam<int>(params, "level", "6"));
-  SharedBuffer owned;
-  std::optional<Result<SharedBuffer>> done =
-      TakeCompressPrefetch(level, input, &owned);
-  if (!done) done = CompressMemoized(level, input, std::move(owned));
-  DPDPU_ASSIGN_OR_RETURN(SharedBuffer output, std::move(*done));
+  CompressTable& table = TheCompressTable();
+  CompressPtr c;
+  bool run = true;
+  {
+    std::unique_lock<std::mutex> lock(table.mu);
+    auto it = std::find_if(
+        table.jobs.begin(), table.jobs.end(), [&](const CompressPtr& job) {
+          return job->input->data() == input.data() &&
+                 job->key.size == input.size() && job->key.level == level;
+        });
+    if (it != table.jobs.end()) {
+      c = std::move(*it);
+      table.job_bytes -= input.size();
+      table.jobs.erase(it);
+      run = c->state == Compress::State::kQueued;
+      if (run) {
+        c->state = Compress::State::kRunning;
+      } else {
+        while (c->state != Compress::State::kDone) table.landed.wait(lock);
+      }
+    }
+  }
+  if (c == nullptr) {
+    c = std::make_shared<Compress>(Compress{
+        {0, level, input.size()}, nullptr, Compress::State::kRunning});
+  }
+  if (run) RunCompress(table, c, input);
+  DPDPU_ASSIGN_OR_RETURN(SharedBuffer output, c->output);
   return *output;
 }
 

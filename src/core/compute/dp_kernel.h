@@ -76,11 +76,11 @@ class KernelRegistry {
   std::map<std::string, DpKernel> kernels_;
 };
 
-/// Byte budget of the builtin compress kernel's process-wide output memo
-/// (dp_kernel.cc): stored input + output bytes, evicted least recently
-/// used first, except that the newest entry is always kept. So the memo
-/// holds at most max(budget, newest entry). The jobs whose compress the
-/// builtin's prefetch holds have at most this many input bytes as well.
+/// Byte budget of the builtin compress kernel's process-wide table
+/// (dp_kernel.cc): its stored outputs and their inputs, evicted least
+/// recently used first, except that the newest is always kept, so at most
+/// max(budget, newest entry). The jobs whose compress the builtin's
+/// prefetch holds have at most this many input bytes as well.
 inline constexpr size_t kCompressMemoBudgetBytes = size_t{6} << 20;
 
 // Builtin kernel names.

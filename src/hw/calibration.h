@@ -143,8 +143,6 @@ inline constexpr uint64_t kNicPerPacketDpuCycles = 300;
 /// a PCIe switch with peer-to-peer access to SSDs (paper Section 3).
 inline constexpr double kPcieBytesPerSec = 25e9;
 inline constexpr uint64_t kPcieLatencyNs = 600;
-/// DMA engine per-descriptor setup cost (DPU cycles).
-inline constexpr uint64_t kDmaDescriptorCycles = 150;
 
 /// Datacenter NVMe SSD.
 inline constexpr uint64_t kSsdReadLatencyNs = 80'000;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <array>
 
-#include "common/logging.h"
-
 namespace dpdpu::kern {
 
 namespace {
@@ -49,14 +47,14 @@ uint64_t Fingerprint64(ByteSpan data) {
   return h;
 }
 
-std::vector<Chunk> ChunkData(ByteSpan data, const ChunkerOptions& options) {
-  DPDPU_CHECK(options.min_size >= kWindow);
-  DPDPU_CHECK((options.avg_size & (options.avg_size - 1)) == 0);
-  DPDPU_CHECK(options.min_size <= options.avg_size);
-  DPDPU_CHECK(options.avg_size <= options.max_size);
+std::vector<Chunk> ChunkData(ByteSpan data) {
+  static_assert(kMinChunkBytes >= kWindow);
+  static_assert((kAvgChunkBytes & (kAvgChunkBytes - 1)) == 0);
+  static_assert(kMinChunkBytes <= kAvgChunkBytes);
+  static_assert(kAvgChunkBytes <= kMaxChunkBytes);
 
   const auto& table = ByteTable();
-  const uint64_t mask = options.avg_size - 1;
+  const uint64_t mask = kAvgChunkBytes - 1;
   // Remove the oldest byte's contribution: hash = hash*P + t[b];
   // after `kWindow` steps a byte's term is t[b] * P^(kWindow-1).
   const uint64_t out_factor = PowMod(kPrime, kWindow - 1);
@@ -64,18 +62,18 @@ std::vector<Chunk> ChunkData(ByteSpan data, const ChunkerOptions& options) {
   std::vector<Chunk> chunks;
   size_t start = 0;
   while (start < data.size()) {
-    size_t limit = std::min(data.size(), start + options.max_size);
+    size_t limit = std::min(data.size(), start + kMaxChunkBytes);
     size_t cut = limit;
-    if (limit - start > options.min_size) {
+    if (limit - start > kMinChunkBytes) {
       uint64_t h = 0;
       // Roll the window; boundaries only eligible after min_size.
-      size_t warm = start + options.min_size - kWindow;
+      size_t warm = start + kMinChunkBytes - kWindow;
       for (size_t i = warm; i < limit; ++i) {
         h = h * kPrime + table[data[i]];
         if (i >= warm + kWindow) {
           h -= table[data[i - kWindow]] * out_factor * kPrime;
         }
-        if (i + 1 >= start + options.min_size && (h & mask) == mask) {
+        if (i + 1 >= start + kMinChunkBytes && (h & mask) == mask) {
           cut = i + 1;
           break;
         }

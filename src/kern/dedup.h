@@ -14,12 +14,12 @@
 
 namespace dpdpu::kern {
 
-struct ChunkerOptions {
-  size_t min_size = 2048;
-  /// Expected chunk size; must be a power of two (boundary mask).
-  size_t avg_size = 8192;
-  size_t max_size = 65536;
-};
+/// Chunk sizes: every chunk but the last has at least kMinChunkBytes,
+/// none more than kMaxChunkBytes. kAvgChunkBytes is the expected size, a
+/// power of two (the boundary mask).
+inline constexpr size_t kMinChunkBytes = 2048;
+inline constexpr size_t kAvgChunkBytes = 8192;
+inline constexpr size_t kMaxChunkBytes = 65536;
 
 struct Chunk {
   size_t offset;
@@ -28,7 +28,7 @@ struct Chunk {
 };
 
 /// Splits `data` into content-defined chunks.
-std::vector<Chunk> ChunkData(ByteSpan data, const ChunkerOptions& options = {});
+std::vector<Chunk> ChunkData(ByteSpan data);
 
 /// FNV-1a 64-bit content fingerprint.
 uint64_t Fingerprint64(ByteSpan data);

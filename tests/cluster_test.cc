@@ -72,8 +72,7 @@ TEST(ShardRouterTest, SpreadsKeysAcrossServers) {
 }
 
 TEST(ShardRouterTest, PreferenceListIsDistinctAndStable) {
-  ShardRouter router(Servers(5), {.vnodes_per_server = 32,
-                                  .replication = 3});
+  ShardRouter router(Servers(5), {.replication = 3});
   Pcg32 rng(2);
   for (int i = 0; i < 1000; ++i) {
     uint64_t hash = rng.Next64();
@@ -87,8 +86,7 @@ TEST(ShardRouterTest, PreferenceListIsDistinctAndStable) {
 }
 
 TEST(ShardRouterTest, FailoverMovesOnlyTheFailedServersKeys) {
-  ShardRouter router(Servers(4), {.vnodes_per_server = 64,
-                                  .replication = 2});
+  ShardRouter router(Servers(4), {.replication = 2});
   Pcg32 rng(3);
   std::vector<uint64_t> hashes;
   for (int i = 0; i < 2000; ++i) hashes.push_back(rng.Next64());
@@ -309,15 +307,16 @@ TEST(ConsistencyTest, RecoveredReplicaServesStaleDataWithoutLayer) {
     uint32_t primary = fleet.storage_index(
         fleet.router().PreferenceList(HashU64(kKey))[0]);
 
-    client.IssueWrite(kKey);
+    client.IssueWriteChecked(kKey, nullptr);
     sim.Run();
     fleet.FailStorageNode(primary, FailMode::kGraceful);
-    client.IssueWrite(kKey);  // reaches only the surviving replica
+    // Reaches only the surviving replica.
+    client.IssueWriteChecked(kKey, nullptr);
     sim.Run();
     fleet.RecoverStorageNode(primary);
     sim.Run();  // drains catch-up when the layer is on
     EXPECT_TRUE(fleet.IsStorageNodeReadable(primary));
-    client.IssueRead(kKey);  // routes to the recovered primary
+    client.IssueReadChecked(kKey, nullptr);  // routes to the recovered primary
     sim.Run();
 
     EXPECT_EQ(client.stats().completed, 3u);
@@ -338,7 +337,7 @@ TEST(ConsistencyTest, CatchUpReplaysHintsBeforeReadmission) {
   FleetClient client(&fleet, 0, SmallWorkload());
 
   fleet.FailStorageNode(0, FailMode::kGraceful);
-  for (uint64_t key = 0; key < 6; ++key) client.IssueWrite(key);
+  for (uint64_t key = 0; key < 6; ++key) client.IssueWriteChecked(key, nullptr);
   sim.Run();
   EXPECT_EQ(fleet.consistency().hints_pending(0), 6u);
 
@@ -356,7 +355,7 @@ TEST(ConsistencyTest, CatchUpReplaysHintsBeforeReadmission) {
   EXPECT_EQ(stats.catchup_write_failures, 0u);
   EXPECT_EQ(fleet.consistency().hints_pending(0), 0u);
 
-  for (uint64_t key = 0; key < 6; ++key) client.IssueRead(key);
+  for (uint64_t key = 0; key < 6; ++key) client.IssueReadChecked(key, nullptr);
   sim.Run();
   EXPECT_EQ(client.stats().stale_reads, 0u);
   EXPECT_EQ(client.stats().failed, 0u);
@@ -372,7 +371,9 @@ TEST(ConsistencyTest, HintOverflowFallsBackToVersionMapDiff) {
   FleetClient client(&fleet, 0, wopts);
 
   fleet.FailStorageNode(0, FailMode::kGraceful);
-  for (uint64_t key = 0; key < 10; ++key) client.IssueWrite(key);
+  for (uint64_t key = 0; key < 10; ++key) {
+    client.IssueWriteChecked(key, nullptr);
+  }
   sim.Run();
   EXPECT_TRUE(fleet.consistency().hint_overflowed(0));
 
@@ -387,7 +388,7 @@ TEST(ConsistencyTest, HintOverflowFallsBackToVersionMapDiff) {
   EXPECT_LT(stats.diff_bytes, fleet.spec().shard_bytes)
       << "catch-up must move targeted blocks, not the whole shard";
 
-  for (uint64_t key = 0; key < 10; ++key) client.IssueRead(key);
+  for (uint64_t key = 0; key < 10; ++key) client.IssueReadChecked(key, nullptr);
   sim.Run();
   EXPECT_EQ(client.stats().stale_reads, 0u);
   EXPECT_EQ(client.stats().failed, 0u);
@@ -417,7 +418,9 @@ TEST(ConsistencyTest, HintOverflowCopiesOnlyOwnedBlocks) {
   ASSERT_EQ(owned, 15u) << "the scenario needs keys node 0 does not own";
 
   fleet.FailStorageNode(0, FailMode::kGraceful);
-  for (uint64_t key = 0; key < kKeys; ++key) client.IssueWrite(key);
+  for (uint64_t key = 0; key < kKeys; ++key) {
+    client.IssueWriteChecked(key, nullptr);
+  }
   sim.Run();
   EXPECT_TRUE(fleet.consistency().hint_overflowed(0));
 
@@ -430,7 +433,9 @@ TEST(ConsistencyTest, HintOverflowCopiesOnlyOwnedBlocks) {
   EXPECT_EQ(stats.diff_blocks_unrepaired, 0u);
   EXPECT_EQ(fleet.storage(0).storage().versions().size(), owned);
 
-  for (uint64_t key = 0; key < kKeys; ++key) client.IssueRead(key);
+  for (uint64_t key = 0; key < kKeys; ++key) {
+    client.IssueReadChecked(key, nullptr);
+  }
   sim.Run();
   EXPECT_EQ(client.stats().stale_reads, 0u);
   EXPECT_EQ(client.stats().failed, 0u);
@@ -451,7 +456,9 @@ TEST(ConsistencyTest, HintOverflowAccountingConserved) {
   FleetClient client(&fleet, 0, SmallWorkload());
 
   fleet.FailStorageNode(0, FailMode::kGraceful);
-  for (uint64_t key = 0; key < 10; ++key) client.IssueWrite(key);
+  for (uint64_t key = 0; key < 10; ++key) {
+    client.IssueWriteChecked(key, nullptr);
+  }
   sim.Run();
 
   const ConsistencyManager::Stats& stats = fleet.consistency().stats();
@@ -499,7 +506,9 @@ TEST(ConsistencyTest, RecoverWhileWritingStaysConsistent) {
   EXPECT_TRUE(fleet.IsStorageNodeReadable(1));
 
   // Quiesced read-back of the whole keyspace: all content current.
-  for (uint64_t key = 0; key < wopts.keyspace; ++key) c0.IssueRead(key);
+  for (uint64_t key = 0; key < wopts.keyspace; ++key) {
+    c0.IssueReadChecked(key, nullptr);
+  }
   sim.Run();
   EXPECT_EQ(Summarize({&c0, &c1}).totals.stale_reads, 0u);
   EXPECT_EQ(Summarize({&c0, &c1}).totals.failed, 0u);
@@ -525,7 +534,9 @@ TEST(ConsistencyTest, OpenLoopFailRecoverStaleOnlyWithoutLayer) {
 
     // Quiesced read-back over the keyspace makes staleness visible even
     // if the tail of the window happened not to touch affected keys.
-    for (uint64_t key = 0; key < wopts.keyspace; ++key) c0.IssueRead(key);
+    for (uint64_t key = 0; key < wopts.keyspace; ++key) {
+      c0.IssueReadChecked(key, nullptr);
+    }
     sim.Run();
     return Summarize({&c0, &c1}).totals.stale_reads;
   };
@@ -597,7 +608,7 @@ TEST(FleetTest, WriteTimeoutsSettleEveryFanout) {
   wopts.max_attempts = 2;
   FleetClient client(&fleet, 0, wopts);
 
-  client.IssueWrite(0);  // warm the connections
+  client.IssueWriteChecked(0, nullptr);  // warm the connections
   sim.Run();
   for (int i = 0; i < 20; ++i) client.IssueOne();
   sim.Schedule(5 * sim::kMicrosecond,

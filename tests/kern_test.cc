@@ -508,16 +508,15 @@ TEST(DedupTest, ChunksCoverInputExactly) {
 
 TEST(DedupTest, ChunkSizesRespectBounds) {
   Buffer data = GenerateRandomBytes(1 << 20, 42);
-  ChunkerOptions opts;
-  auto chunks = ChunkData(data.span(), opts);
+  auto chunks = ChunkData(data.span());
   for (size_t i = 0; i + 1 < chunks.size(); ++i) {  // last may be short
-    EXPECT_GE(chunks[i].size, opts.min_size);
-    EXPECT_LE(chunks[i].size, opts.max_size);
+    EXPECT_GE(chunks[i].size, kMinChunkBytes);
+    EXPECT_LE(chunks[i].size, kMaxChunkBytes);
   }
   // Average within a reasonable factor of the target.
   double avg = double(data.size()) / double(chunks.size());
-  EXPECT_GT(avg, opts.avg_size / 4.0);
-  EXPECT_LT(avg, opts.avg_size * 4.0);
+  EXPECT_GT(avg, kAvgChunkBytes / 4.0);
+  EXPECT_LT(avg, kAvgChunkBytes * 4.0);
 }
 
 TEST(DedupTest, BoundariesShiftInvariant) {

@@ -404,7 +404,8 @@ TEST_P(TcpLossSweep, ExactDeliveryOfManyWritesUnderLoss) {
   for (size_t off = 0; off < sent.size(); ++writes) {
     // Log-uniform sizes: mostly small writes, some up to 10 KB.
     uint64_t cap = std::min<uint64_t>(10 * 1024, 1ull << rng.NextBounded(14));
-    size_t n = std::min<size_t>(rng.NextRange(1, cap), sent.size() - off);
+    size_t n = std::min<size_t>(1 + rng.NextBounded(uint32_t(cap)),
+                                sent.size() - off);
     ByteSpan chunk = sent.span().subspan(off, n);
     sim.ScheduleAt(at, [client, chunk] { client->Send(chunk); });
     off += n;
